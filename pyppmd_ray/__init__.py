@@ -10,9 +10,10 @@ Parquet tables of source-code repositories using Ray Data:
   and an interleaved static rANS entropy stage — all pure numpy over
   zero-copy Arrow buffers;
 - sampling-based per-column codec auto-selection per encoded block;
-- Ray Data pipelines: ``read_parquet → map_batches(EncoderActor pool) →
+- Ray Data pipelines: ``read_parquet → map_batches(encode_batches) →
   encoded-block parquet + per-partition lineage manifests`` and the inverse
-  decode pass, with checkpoint-resume;
+  decode pass, with checkpoint-resume — every shape runs one encode and
+  one decode kernel as stateless Ray tasks;
 - per-row sha256 equality verification (the translation of the reference's
   round-trip tests, `/root/reference/tests/test_ppmd7.py:56-92`).
 

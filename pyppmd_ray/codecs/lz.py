@@ -403,6 +403,15 @@ def _decode_lz(meta: dict, payload: memoryview) -> bytes:
     ml = _val_decode(mlc, mle) + MIN_MATCH
     of = _off_decode(ofc, ofe)
     lits = np.frombuffer(decode_blob(parts[4]), dtype=np.uint8)
+    if S:
+        # output position where each match starts: a corrupt offset that
+        # points before the start of the output would wrap numpy slicing
+        # into the unwritten tail of ``out`` and decode silently wrong
+        start = np.cumsum(ll) + np.cumsum(ml) - ml
+        if not (
+            np.all(of >= 1) and np.all(of <= start) and start[-1] + ml[-1] <= n
+        ):
+            raise CodecError("lz match offset or length out of range")
 
     out = np.empty(n, dtype=np.uint8)
     o = 0

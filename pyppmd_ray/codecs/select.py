@@ -12,30 +12,13 @@ from __future__ import annotations
 import numpy as np
 import pyarrow as pa
 
+from .fieldt import encode_fieldt
 from .fsst import encode_fsst
+from .lined import encode_lined
 from .lz import encode_lz
-from .numeric import encode_raw
-from .rans import encode_rans0
 from .strings import StrCol, dict_encode_strcol, strcol_from_arrow
 
 SAMPLE_BYTES = 32 << 10
-# candidate byte-stream codecs with a small cost bias: prefer the cheaper
-# codec unless the expensive one is clearly smaller
-from .rans_ctx import encode_rans1
-from .lined import encode_lined
-from .fieldt import encode_fieldt
-
-_BYTE_TRIALS = (
-    ("raw", encode_raw, 1.00),
-    ("rans0", encode_rans0, 1.02),
-    ("rans1", encode_rans1, 1.03),
-    ("fsst", encode_fsst, 1.05),
-    ("lz", encode_lz, 1.08),
-    # no cost bias: line-dictionary gains GROW with block size (more line
-    # repeats than any sample shows), so never penalize it at trial time
-    ("lined", encode_lined, 1.00),
-    ("fieldt", encode_fieldt, 1.00),
-)
 
 
 def _sample_strcol(col: StrCol, max_bytes: int = SAMPLE_BYTES) -> bytes:

@@ -32,8 +32,8 @@ def encode_bytes_auto(data: bytes, allowed: tuple[str, ...] = BYTE_CODECS,
                       fsst_table: list[bytes] | None = None) -> bytes:
     """Pick the smallest byte-stream codec; ``sample_hint`` pins one codec
     (the per-partition selector's decision) to skip per-block trials.
-    ``fsst_table``: pre-trained shared symbol table (the actor-pool
-    trained-state path) — skips per-block table training; the table is
+    ``fsst_table``: pre-trained shared symbol table (the shared
+    trained-state path, ``encode_dataset_shared``) — skips per-block table training; the table is
     still embedded in the blob, so decode stays stateless."""
     if sample_hint is not None:
         allowed = (sample_hint,)

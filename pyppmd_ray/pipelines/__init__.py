@@ -10,6 +10,5 @@ from .compress import (  # noqa: F401
     plan_units,
     plan_dataset_hints,
     train_shared_state,
-    SharedStateEncoderActor,
     row_sha256,
 )

@@ -1,20 +1,30 @@
 """Encode / decode / verify pipelines — the engine's flagship dataflow.
 
-Two shapes:
+Every shape below runs the same two stateless kernels,
+:func:`~..stages.encode.encode_batches` and
+:func:`~..stages.encode.decode_batches`, as plain Ray tasks — no stage
+holds state across batches, so none needs an actor. Trained state (the
+dataset plan, shared FSST tables) reaches every task through
+``fn_kwargs``, which Ray Data puts in the object store once per operator.
 
-1. **Streaming** (`encode_dataset` / `decode_dataset`): pure Ray Data —
-   ``read_parquet → map_batches(EncoderActor pool) → encoded Dataset``
-   and the inverse. Lazy, streams with backpressure, no driver
+1. **Streaming** (`encode_dataset` / `decode_dataset` /
+   `encode_dataset_shared`): pure Ray Data —
+   ``read_parquet → map_batches(encode_batches) → encoded Dataset`` and
+   the inverse. Lazy, streams with backpressure, no driver
    materialization. Used by benchmarks and as a composable stage.
 
-2. **Resumable job** (`run_encode_job` / `run_verify_job`): the
-   production path of the north rule — deterministic *units* (input
-   parquet fragments) fan out over an actor pool; each unit writes
-   ``blocks/unit-<id>.parquet`` + ``_manifests/unit-<id>.json``
-   atomically; a rerun skips completed units (checkpoint-resume with
-   per-partition lineage + metrics). Scale shape: unit granularity =
-   parquet row-group → at 10^12 files the unit list is the only
-   driver-side state, and it is itself streamed via ray.data.
+2. **Resumable job** (`run_encode_job` / `run_decode_to_parquet` /
+   `run_verify_job`): the production path of the north rule —
+   deterministic *units* (input parquet fragments) fan out as one task
+   each; each unit writes ``blocks/unit-<id>.parquet`` +
+   ``_manifests/unit-<id>.json`` atomically; a rerun skips completed
+   units (checkpoint-resume with per-partition lineage + metrics). Scale
+   shape: unit granularity = parquet row-group → at 10^12 files the unit
+   list is the only driver-side state, and it is itself streamed via
+   ray.data.
+
+``concurrency`` everywhere is Ray's task cap for a function: an int
+bounds the number of concurrent tasks; ``None`` lets Ray decide.
 
 The correctness contract is the reference's round-trip equality
 (`/root/reference/tests/test_ppmd7.py:56-92`): decode reproduces every
@@ -27,31 +37,15 @@ import hashlib
 import json
 import os
 import time
-from typing import Any
 
-import numpy as np
 import pyarrow as pa
 import pyarrow.dataset as pads
 import pyarrow.parquet as pq
 
-import ray
 import ray.data as rd
 
-from ..codecs.select import plan_table
-from ..stages.blocks import (
-    BLOCK_SCHEMA,
-    canonical_column_bytes,
-    decode_block,
-    encode_block,
-    split_by_bytes,
-)
-from ..stages.encode import (
-    DEFAULT_BLOCK_BYTES,
-    DecoderActor,
-    EncoderActor,
-    decode_batches,
-    encode_batches,
-)
+from ..stages.blocks import canonical_column_bytes, split_by_bytes
+from ..stages.encode import DEFAULT_BLOCK_BYTES, decode_batches, encode_batches
 from ..state.manifest import (
     completed_units,
     unit_blocks_path,
@@ -60,19 +54,6 @@ from ..state.manifest import (
 )
 
 # ------------------------------------------------------------- streaming
-
-
-def default_concurrency() -> tuple[int, int]:
-    """Autoscaling actor-pool size: up to the cluster's CPU count.
-
-    Encode is CPU-bound ⇒ one CPU per actor, pool scales to cluster size
-    (SURVEY.md §4.2); the (1, N) lower bound keeps small inputs from
-    waiting on pool warm-up."""
-    try:
-        cpus = int(ray.available_resources().get("CPU", 0) or ray.cluster_resources().get("CPU", 4))
-    except Exception:
-        cpus = 4
-    return (1, max(2, cpus - 2))  # leave slots for read/write stages
 
 
 def plan_sample_table(
@@ -136,11 +117,11 @@ def encode_dataset(
 ) -> rd.Dataset:
     """ds → Dataset of encoded block rows (BLOCK_SCHEMA). Streaming.
 
-    Task-based by default: the per-block codecs are stateless across
-    batches, so plain tasks reuse Ray's warm workers (an actor pool costs
-    ~4-6 s of per-pipeline spin-up — several × the encode compute at small
-    scale, and pure overhead at any scale). Pass ``concurrency`` to force
-    an actor pool (e.g. to bound parallelism or pin resources).
+    Runs :func:`encode_batches` as plain tasks: the per-block codecs are
+    stateless across batches, so tasks reuse Ray's warm workers (an actor
+    pool would cost ~4-6 s of per-pipeline spin-up — several × the encode
+    compute at small scale). ``concurrency``: at most this many tasks at
+    once (``None``: Ray decides).
 
     ``plan``: "dataset" (default) samples the dataset once and broadcasts
     the selector's hints to every task; "block" re-plans per batch
@@ -173,24 +154,16 @@ def encode_dataset(
         batch_rows = batch_rows or sampled_rows
     if partition_by:
         ds = ds.sort(list(partition_by))
-    fn_kwargs = {
-        "target_block_bytes": target_block_bytes,
-        "hints": hints,
-        "columns": columns,
-    }
-    if concurrency is not None:
-        return ds.map_batches(
-            EncoderActor,
-            fn_constructor_kwargs=fn_kwargs,
-            batch_format="pyarrow",
-            batch_size=batch_rows,
-            concurrency=concurrency,
-        )
     return ds.map_batches(
         encode_batches,
-        fn_kwargs=fn_kwargs,
+        fn_kwargs={
+            "target_block_bytes": target_block_bytes,
+            "hints": hints,
+            "columns": columns,
+        },
         batch_format="pyarrow",
         batch_size=batch_rows,  # ~one target block per task; split inside
+        concurrency=concurrency,
     )
 
 
@@ -217,18 +190,6 @@ def decode_dataset(
             "on_error='quarantine' requires quarantine_dir (otherwise "
             "corrupt blocks would be dropped without any record)"
         )
-    if concurrency is not None:
-        return encoded.map_batches(
-            DecoderActor,
-            fn_constructor_kwargs={
-                "columns": columns,
-                "on_error": on_error,
-                "quarantine_dir": quarantine_dir,
-            },
-            batch_format="pyarrow",
-            batch_size=None,
-            concurrency=concurrency,
-        )
     return encoded.map_batches(
         decode_batches,
         fn_kwargs={
@@ -238,6 +199,7 @@ def decode_dataset(
         },
         batch_format="pyarrow",
         batch_size=None,
+        concurrency=concurrency,
     )
 
 
@@ -251,25 +213,23 @@ def train_shared_state(
     target_block_bytes: int = DEFAULT_BLOCK_BYTES,
 ) -> dict:
     """Train partition-shared codec state from ONE sample pass: the
-    selector's plan plus, for every column it routed to FSST, a shared
-    symbol table trained on the sample. Returns a small state dict meant
-    to be ``ray.put`` once and fetched per worker (actor ``__init__``) —
-    the engine analogue of the reference's per-stream trained model, which
-    refuses pickling and must be built inside each worker
+    selector's plan (:func:`plan_sample_table`) plus, for every column it
+    routed to FSST, a shared symbol table trained on the sample. Returns
+    ``{"hints", "batch_rows"}``; passed as ``fn_kwargs`` it travels to the
+    workers as one object-store copy per operator — the engine analogue of
+    the reference's per-stream trained model, which refuses pickling and
+    must be built inside each worker
     (`/root/reference/src/ext/_ppmdmodule.c:617-634`)."""
+    import pyarrow.compute as pc
+
     from ..codecs.fsst import train_table
-    from ..codecs.select import plan_table
     from ..codecs.strings import strcol_from_arrow
 
     sample = ds.limit(sample_rows).take_batch(sample_rows, batch_format="pyarrow")
     if columns:
         sample = sample.select(columns)
-    from ..stages.blocks import table_uncompressed_bytes
-
-    avg_row = max(1, table_uncompressed_bytes(sample) // max(1, sample.num_rows))
-    batch_rows = int(min(1 << 16, max(256, target_block_bytes // avg_row)))
-    sub = split_by_bytes(sample, 2 << 20)
-    hints = plan_table(sub[0]) if sub else {}
+    hints, batch_rows = plan_sample_table(sample, target_block_bytes)
+    hints = hints or {}
     for name, h in hints.items():
         if h.get("data_codec") != "fsst":
             continue
@@ -282,8 +242,6 @@ def train_shared_state(
             or pa.types.is_binary(t) or pa.types.is_large_binary(t)
         ):
             continue
-        import pyarrow.compute as pc
-
         is_bin = pa.types.is_binary(t) or pa.types.is_large_binary(t)
         if col.null_count:
             col = pc.fill_null(col, b"" if is_bin else "")
@@ -293,28 +251,6 @@ def train_shared_state(
     return {"hints": hints, "batch_rows": batch_rows}
 
 
-class SharedStateEncoderActor:
-    """The north-star stateful stage: trained symbol tables + plan fetched
-    from the object store ONCE per worker (``ray.get`` in ``__init__``),
-    reused for every batch. Blobs still embed their tables, so decode
-    stays a stateless pass."""
-
-    def __init__(self, state_ref, target_block_bytes: int = DEFAULT_BLOCK_BYTES,
-                 columns: list[str] | None = None):
-        state = ray.get(state_ref) if not isinstance(state_ref, dict) else state_ref
-        self.hints = state["hints"]
-        self.target_block_bytes = int(target_block_bytes)
-        self.columns = columns
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        return encode_batches(
-            batch,
-            target_block_bytes=self.target_block_bytes,
-            hints=self.hints,
-            columns=self.columns,
-        )
-
-
 def encode_dataset_shared(
     ds: rd.Dataset,
     *,
@@ -322,25 +258,19 @@ def encode_dataset_shared(
     columns: list[str] | None = None,
     concurrency=None,
 ) -> rd.Dataset:
-    """Encode with partition-shared trained state: train once on a sample,
-    broadcast via ray.put, actor pool fetches per worker. Use when the
-    corpus is homogeneous enough that one symbol table serves all blocks
-    (skips per-block FSST training)."""
-    state = train_shared_state(
-        ds, columns, target_block_bytes=target_block_bytes
-    )
-    batch_rows = state.pop("batch_rows", None)
-    ref = ray.put(state)
-    return ds.map_batches(
-        SharedStateEncoderActor,
-        fn_constructor_kwargs={
-            "state_ref": ref,
-            "target_block_bytes": target_block_bytes,
-            "columns": columns,
-        },
-        batch_format="pyarrow",
-        batch_size=batch_rows,
-        concurrency=concurrency or default_concurrency(),
+    """Encode with partition-shared trained state: train once on a sample
+    (:func:`train_shared_state`), then :func:`encode_dataset` with those
+    hints. Use when the corpus is homogeneous enough that one symbol table
+    serves all blocks (skips per-block FSST training). Blobs still embed
+    their tables, so decode stays a stateless pass."""
+    state = train_shared_state(ds, columns, target_block_bytes=target_block_bytes)
+    return encode_dataset(
+        ds,
+        target_block_bytes=target_block_bytes,
+        hints=state["hints"],
+        columns=columns,
+        concurrency=concurrency,
+        batch_rows=state["batch_rows"],
     )
 
 
@@ -415,60 +345,69 @@ def read_unit_table(unit: dict) -> pa.Table:
     return pa.concat_tables(tables) if len(tables) > 1 else tables[0]
 
 
-class EncodeUnit:
-    """Actor: encode one input fragment → atomic blocks parquet + manifest."""
+def _encode_units(
+    batch: pa.Table, *, out_dir: str, target_block_bytes: int, hints: dict | None
+) -> pa.Table:
+    """Task: encode each unit of ``batch`` with ONE :func:`encode_batches`
+    call (so one deterministic plan per unit) → atomic blocks parquet +
+    manifest; returns the per-unit stats rows."""
+    return pa.Table.from_pylist(
+        [_encode_unit(u, out_dir, target_block_bytes, hints) for u in batch.to_pylist()]
+    )
 
-    def __init__(self, out_dir: str, target_block_bytes: int, hints: dict | None):
-        self.out_dir = out_dir
-        self.target_block_bytes = target_block_bytes
-        self.hints = hints
-        os.makedirs(os.path.join(out_dir, "blocks"), exist_ok=True)
 
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        results = []
-        for unit in batch.to_pylist():
-            results.append(self._encode_one(unit))
-        return pa.Table.from_pylist(results)
+def _encode_unit(unit: dict, out_dir: str, target_block_bytes: int, hints: dict | None) -> dict:
+    t0 = time.monotonic()
+    uid = unit["unit_id"]
+    tbl = read_unit_table(unit)
+    blocks = encode_batches(tbl, target_block_bytes=target_block_bytes, hints=hints)
+    bpath = unit_blocks_path(out_dir, uid)
+    tmp = bpath + f".tmp-{os.getpid()}"
+    pq.write_table(blocks, tmp, compression="none")
+    os.replace(tmp, bpath)
+    unc = sum(blocks["uncompressed_bytes"].to_pylist())
+    enc = sum(blocks["encoded_bytes"].to_pylist())
+    record = {
+        "status": "done",
+        "unit_id": uid,
+        "members": _unit_members(unit),
+        "n_rows": int(tbl.num_rows),
+        "n_blocks": blocks.num_rows,
+        "bytes_in": unc,
+        "bytes_out": enc,
+        "ratio": (unc / enc) if enc else 0.0,
+        "wall_s": time.monotonic() - t0,
+        "block_ids": blocks["block_id"].to_pylist(),
+        "columns": _manifest_columns(blocks["meta"].to_pylist()),
+    }
+    write_unit_manifest(out_dir, uid, record)
+    return {k: record[k] for k in ("unit_id", "n_rows", "n_blocks", "bytes_in", "bytes_out", "wall_s")}
 
-    def _encode_one(self, unit: dict) -> dict:
-        t0 = time.monotonic()
-        uid = unit["unit_id"]
-        tbl = read_unit_table(unit)
-        subs = split_by_bytes(tbl, self.target_block_bytes)
-        hints = self.hints
-        if hints is None and subs:
-            # one deterministic plan per unit (sampled from the first block)
-            hints = plan_table(subs[0])
-        rows = [encode_block(sub, hints=hints) for sub in subs]
-        blocks = (
-            pa.Table.from_pylist(rows, schema=BLOCK_SCHEMA)
-            if rows
-            else BLOCK_SCHEMA.empty_table()
-        )
-        bpath = unit_blocks_path(self.out_dir, uid)
-        tmp = bpath + f".tmp-{os.getpid()}"
-        pq.write_table(blocks, tmp, compression="none")
-        os.replace(tmp, bpath)
-        unc = int(sum(r["uncompressed_bytes"] for r in rows))
-        enc = int(sum(r["encoded_bytes"] for r in rows))
-        record = {
-            "status": "done",
-            "unit_id": uid,
-            "members": _unit_members(unit),
-            "n_rows": int(tbl.num_rows),
-            "n_blocks": len(rows),
-            "bytes_in": unc,
-            "bytes_out": enc,
-            "ratio": (unc / enc) if enc else 0.0,
-            "wall_s": time.monotonic() - t0,
-            "block_ids": [r["block_id"] for r in rows],
-            "columns": {
-                name: json.loads(rows[0]["meta"])["columns"][name] if rows else {}
-                for name in (tbl.column_names if rows else [])
-            },
+
+def _manifest_columns(metas: list[str]) -> dict:
+    """Per-column manifest entry covering EVERY block of a unit: ``bytes``
+    summed, ``codec`` the sorted distinct cascades; ``type`` and
+    ``hints`` from block 0 (one plan serves the whole unit)."""
+    cols = [json.loads(m)["columns"] for m in metas]
+    return {
+        name: {
+            "type": first["type"],
+            "hints": first["hints"],
+            "bytes": sum(c[name]["bytes"] for c in cols),
+            "codec": sorted({c[name]["codec"] for c in cols}),
         }
-        write_unit_manifest(self.out_dir, uid, record)
-        return {k: record[k] for k in ("unit_id", "n_rows", "n_blocks", "bytes_in", "bytes_out", "wall_s")}
+        for name, first in (cols[0].items() if cols else ())
+    }
+
+
+def _unit_items(units: list[dict]) -> list[dict]:
+    """Unit dicts as flat rows for ``rd.from_items`` (members/columns as
+    JSON strings, so every row has the same arrow schema)."""
+    return [
+        {"unit_id": u["unit_id"], "members": json.dumps(u["members"]),
+         "columns": json.dumps(u["columns"]) if u["columns"] else ""}
+        for u in units
+    ]
 
 
 def run_encode_job(
@@ -536,24 +475,19 @@ def run_encode_job(
         "units_encoded": len(todo),
     }
     if todo:
-        kwargs: dict[str, Any] = {"concurrency": concurrency or default_concurrency()}
-        items = [
-            {"unit_id": u["unit_id"], "members": json.dumps(u["members"]),
-             "columns": json.dumps(u["columns"]) if u["columns"] else ""}
-            for u in todo
-        ]
         from ray.data.aggregate import Sum
 
-        stats_ds = rd.from_items(items).map_batches(
-            EncodeUnit,
-            fn_constructor_kwargs={
+        os.makedirs(os.path.join(out_dir, "blocks"), exist_ok=True)
+        stats_ds = rd.from_items(_unit_items(todo)).map_batches(
+            _encode_units,
+            fn_kwargs={
                 "out_dir": out_dir,
                 "target_block_bytes": target_block_bytes,
                 "hints": hints,
             },
             batch_size=1,
             batch_format="pyarrow",
-            **kwargs,
+            concurrency=concurrency,
         )
         # streamed reduce — at 10^7 units a driver-side to_pandas() would
         # hold the whole per-unit stats table; the aggregate keeps only
@@ -593,45 +527,33 @@ def run_decode_job(
     )
 
 
-class DecodeUnit:
-    """Actor: decode one encode-unit's blocks file → atomic parquet at the
-    destination. The unit id is reused from the ENCODE manifests, so the
-    decode ledger is simply "which unit-<id>.parquet files exist" — a
-    rerun skips finished units (crash-resumable, like EncodeUnit)."""
-
-    def __init__(self, out_dir: str, dest: str, columns: list[str] | None = None):
-        self.out_dir = out_dir
-        self.dest = dest
-        self.columns = columns
-        os.makedirs(dest, exist_ok=True)
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        from ..stages.encode import _payload_views
-
-        results = []
-        for uid in batch["unit_id"].to_pylist():
-            t0 = time.monotonic()
-            blocks = pq.read_table(unit_blocks_path(self.out_dir, uid))
-            views = _payload_views(blocks["payload"])
-            tables = [decode_block(v, columns=self.columns) for v in views]
-            tbl = (
-                pa.concat_tables(tables)
-                if tables
-                else pa.table({})
-            )
-            fpath = os.path.join(self.dest, f"unit-{uid}.parquet")
-            tmp = fpath + f".tmp-{os.getpid()}"
-            pq.write_table(tbl, tmp)
-            os.replace(tmp, fpath)
-            results.append(
-                {
-                    "unit_id": uid,
-                    "n_rows": int(tbl.num_rows),
-                    "n_blocks": int(blocks.num_rows),
-                    "wall_s": time.monotonic() - t0,
-                }
-            )
-        return pa.Table.from_pylist(results)
+def _decode_units(
+    batch: pa.Table, *, out_dir: str, dest: str, columns: list[str] | None
+) -> pa.Table:
+    """Task: decode each encode-unit's blocks file with
+    :func:`decode_batches` → atomic parquet at ``dest``. The unit id is
+    reused from the ENCODE manifests, so the decode ledger is simply
+    "which unit-<id>.parquet files exist" — a rerun skips finished units
+    (crash-resumable, like the encode job)."""
+    results = []
+    for uid in batch["unit_id"].to_pylist():
+        t0 = time.monotonic()
+        blocks = pq.read_table(unit_blocks_path(out_dir, uid))
+        tables = list(decode_batches(blocks, columns=columns))
+        tbl = pa.concat_tables(tables) if tables else pa.table({})
+        fpath = os.path.join(dest, f"unit-{uid}.parquet")
+        tmp = fpath + f".tmp-{os.getpid()}"
+        pq.write_table(tbl, tmp)
+        os.replace(tmp, fpath)
+        results.append(
+            {
+                "unit_id": uid,
+                "n_rows": int(tbl.num_rows),
+                "n_blocks": int(blocks.num_rows),
+                "wall_s": time.monotonic() - t0,
+            }
+        )
+    return pa.Table.from_pylist(results)
 
 
 def run_decode_to_parquet(
@@ -690,17 +612,12 @@ def run_decode_to_parquet(
         "units_decoded": len(todo),
     }
     if todo:
-        kwargs: dict[str, Any] = {"concurrency": concurrency or default_concurrency()}
         stats_ds = rd.from_items([{"unit_id": u} for u in todo]).map_batches(
-            DecodeUnit,
-            fn_constructor_kwargs={
-                "out_dir": out_dir,
-                "dest": dest,
-                "columns": columns,
-            },
+            _decode_units,
+            fn_kwargs={"out_dir": out_dir, "dest": dest, "columns": columns},
             batch_size=1,
             batch_format="pyarrow",
-            **kwargs,
+            concurrency=concurrency,
         )
         agg = stats_ds.aggregate(
             Sum("n_rows", alias_name="n_rows"),
@@ -734,65 +651,61 @@ def row_sha256(tbl: pa.Table, column: str = "content") -> list[str]:
     ]
 
 
-class VerifyUnit:
-    """Actor: decode one unit's blocks and compare against the original
-    input fragment — per-row sha256 equality, per-column bit-identity."""
+def _verify_units(batch: pa.Table, *, out_dir: str) -> pa.Table:
+    """Task: decode each unit's blocks with :func:`decode_batches` and
+    compare against the original input fragment — per-row sha256
+    equality, per-column bit-identity. A unit that fails to read or
+    decode becomes a loud FAIL row instead of failing the job."""
+    results = []
+    for unit in batch.to_pylist():
+        try:
+            results.append({**_verify_unit(unit, out_dir), "error": ""})
+        except Exception as e:  # missing/corrupt block → loud FAIL row
+            results.append(
+                {
+                    "unit_id": unit["unit_id"],
+                    "rows_ok": False,
+                    "column_mismatches": -1,
+                    "row_sha_mismatches": -1,
+                    "ok": False,
+                    "error": f"{type(e).__name__}: {e}",
+                }
+            )
+    return pa.Table.from_pylist(results)
 
-    def __init__(self, out_dir: str):
-        self.out_dir = out_dir
 
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        results = []
-        for unit in batch.to_pylist():
-            try:
-                results.append(self._verify_one(unit))
-            except Exception as e:  # missing/corrupt block → loud FAIL row
-                results.append(
-                    {
-                        "unit_id": unit["unit_id"],
-                        "rows_ok": False,
-                        "column_mismatches": -1,
-                        "row_sha_mismatches": -1,
-                        "ok": False,
-                        "error": f"{type(e).__name__}: {e}",
-                    }
-                )
-        for r in results:
-            r.setdefault("error", "")
-        return pa.Table.from_pylist(results)
-
-    def _verify_one(self, unit: dict) -> dict:
-        uid = unit["unit_id"]
-        orig = read_unit_table(unit)
-        blocks = pq.read_table(unit_blocks_path(self.out_dir, uid))
-        decoded = (
-            pa.concat_tables([decode_block(p.as_py()) for p in blocks["payload"]])
-            if blocks.num_rows
-            else orig.schema.empty_table()
-        )
-        ok_rows = decoded.num_rows == orig.num_rows
-        mismatches = 0
-        for name in orig.column_names:
-            a = b"".join(canonical_column_bytes(orig[name]))
-            b = b"".join(canonical_column_bytes(decoded[name])) if name in decoded.column_names else b""
-            if hashlib.sha256(a).digest() != hashlib.sha256(b).digest():
-                mismatches += 1
-        # per-row contract on string columns
-        row_mismatches = 0
-        for name in orig.column_names:
-            t = orig[name].type
-            if pa.types.is_string(t) or pa.types.is_large_string(t):
-                sa = row_sha256(orig, name)
-                sb = row_sha256(decoded, name)
-                row_mismatches += sum(1 for x, y in zip(sa, sb) if x != y)
-                row_mismatches += abs(len(sa) - len(sb))
-        return {
-            "unit_id": uid,
-            "rows_ok": bool(ok_rows),
-            "column_mismatches": mismatches,
-            "row_sha_mismatches": row_mismatches,
-            "ok": bool(ok_rows and mismatches == 0 and row_mismatches == 0),
-        }
+def _verify_unit(unit: dict, out_dir: str) -> dict:
+    uid = unit["unit_id"]
+    orig = read_unit_table(unit)
+    blocks = pq.read_table(unit_blocks_path(out_dir, uid))
+    decoded = (
+        pa.concat_tables(list(decode_batches(blocks)))
+        if blocks.num_rows
+        else orig.schema.empty_table()
+    )
+    ok_rows = decoded.num_rows == orig.num_rows
+    mismatches = 0
+    for name in orig.column_names:
+        a = b"".join(canonical_column_bytes(orig[name]))
+        b = b"".join(canonical_column_bytes(decoded[name])) if name in decoded.column_names else b""
+        if hashlib.sha256(a).digest() != hashlib.sha256(b).digest():
+            mismatches += 1
+    # per-row contract on string columns
+    row_mismatches = 0
+    for name in orig.column_names:
+        t = orig[name].type
+        if pa.types.is_string(t) or pa.types.is_large_string(t):
+            sa = row_sha256(orig, name)
+            sb = row_sha256(decoded, name)
+            row_mismatches += sum(1 for x, y in zip(sa, sb) if x != y)
+            row_mismatches += abs(len(sa) - len(sb))
+    return {
+        "unit_id": uid,
+        "rows_ok": bool(ok_rows),
+        "column_mismatches": mismatches,
+        "row_sha_mismatches": row_mismatches,
+        "ok": bool(ok_rows and mismatches == 0 and row_mismatches == 0),
+    }
 
 
 # failing unit ids kept for the report — a bound, not the full list, so
@@ -827,25 +740,19 @@ def run_verify_job(
     concurrency=None, unit_bytes: int = 32 << 20,
 ) -> dict:
     units = plan_units(input_path, columns, unit_bytes=unit_bytes)
-    kwargs: dict[str, Any] = {"concurrency": concurrency or default_concurrency()}
-    items = [
-        {"unit_id": u["unit_id"], "members": json.dumps(u["members"]),
-         "columns": json.dumps(u["columns"]) if u["columns"] else ""}
-        for u in units
-    ]
     import pyarrow.compute as pc
     from ray.data.aggregate import Sum
 
     # one streamed aggregate — per-unit result rows never concentrate on
     # the driver (the encode job's own Sum-summary pattern, not to_pandas)
     agg = (
-        rd.from_items(items)
+        rd.from_items(_unit_items(units))
         .map_batches(
-            VerifyUnit,
-            fn_constructor_kwargs={"out_dir": out_dir},
+            _verify_units,
+            fn_kwargs={"out_dir": out_dir},
             batch_size=1,
             batch_format="pyarrow",
-            **kwargs,
+            concurrency=concurrency,
         )
         .map_batches(
             lambda t: t.append_column(

@@ -1,20 +1,15 @@
-"""Encode/decode stages for Ray Data.
+"""The engine's one encode kernel and one decode kernel.
 
-Two execution shapes, chosen by whether the stage holds cross-batch
-state:
-
-- **Task-based (default)**: the per-block codecs are deterministic and
-  stateless across batches (every block trains its own tables), so plain
-  ``map_batches(encode_batches, fn_kwargs=...)`` is the idiomatic Ray
-  shape — tasks reuse Ray's warm worker processes, no per-pipeline actor
-  spin-up (measured: a 30-actor pool costs ~4-6 s of import/startup per
-  pipeline, several × the actual encode compute at bench scale).
-- **Actor pool**: for stages that DO hold cross-batch state — e.g.
-  shared trained dictionaries fetched once per worker
-  (:class:`SharedDictEncoderActor` in pipelines/compress.py) — matching
-  the reference's non-picklable-codec-state constraint
-  (`/root/reference/src/ext/_ppmdmodule.c:617-634`): construct in
-  ``__init__`` (once per actor), encode per batch in ``__call__``.
+:func:`encode_batches` and :func:`decode_batches` are stateless across
+batches (every block is planned and framed on its own), so every pipeline
+shape in ``pipelines/compress.py`` runs them as plain Ray tasks —
+``map_batches(encode_batches, fn_kwargs=...)`` — or calls them inside a
+task. Stateless stages are tasks: they reuse Ray's warm worker processes
+with no per-pipeline actor spin-up (measured: a 30-actor pool costs
+~4-6 s of import/startup per pipeline, several × the actual encode
+compute at bench scale). Trained state (a pinned plan, shared FSST
+tables) rides in ``fn_kwargs``, which Ray Data puts in the object store
+once per operator and hands to every task by reference.
 """
 
 from __future__ import annotations
@@ -119,51 +114,3 @@ def decode_batches(
                 os.replace(tmp, os.path.join(quarantine_dir, f"{bid}.bin"))
                 with open(os.path.join(quarantine_dir, f"{bid}.error.txt"), "w") as f:
                     f.write(f"{type(e).__name__}: {e}\n")
-
-
-class EncoderActor:
-    """Actor-pool variant of :func:`encode_batches` (state in __init__ —
-    use when hints carry trained shared state worth building once per
-    worker)."""
-
-    def __init__(
-        self,
-        target_block_bytes: int = DEFAULT_BLOCK_BYTES,
-        hints: dict | None = None,
-        columns: list[str] | None = None,
-    ):
-        self.target_block_bytes = int(target_block_bytes)
-        self.hints = hints
-        self.columns = columns
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        return encode_batches(
-            batch,
-            target_block_bytes=self.target_block_bytes,
-            hints=self.hints,
-            columns=self.columns,
-        )
-
-
-class DecoderActor:
-    """Actor-pool variant of :func:`decode_batches` (same error policy:
-    the quarantine contract must hold whether or not the caller chose an
-    actor pool)."""
-
-    def __init__(
-        self,
-        columns: list[str] | None = None,
-        on_error: str = "raise",
-        quarantine_dir: str | None = None,
-    ):
-        self.columns = columns
-        self.on_error = on_error
-        self.quarantine_dir = quarantine_dir
-
-    def __call__(self, batch: pa.Table):
-        yield from decode_batches(
-            batch,
-            columns=self.columns,
-            on_error=self.on_error,
-            quarantine_dir=self.quarantine_dir,
-        )

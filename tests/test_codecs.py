@@ -171,6 +171,35 @@ class TestLz:
         data = b"abcde" * 1000 + b"xyz" + b"q" * 500
         assert decode_blob(encode_lz(data)) == data
 
+    def test_offset_before_output_start_raises(self, monkeypatch):
+        """A corrupt match offset reaching before the first output byte
+        must raise CodecError, not wrap into the unwritten output tail."""
+        from pyppmd_ray.codecs import lz
+        from pyppmd_ray.codecs.base import CodecError
+        from pyppmd_ray.fixtures import generate_source_table
+
+        t = generate_source_table(40, seed=1)
+        data = "\n".join(t["content"].to_pylist()).encode()[:20_000]
+        blob = encode_lz(data)
+        assert decode_blob(blob) == data
+        lls, mls, ofs, _ = lz.lz_parse(np.frombuffer(data, dtype=np.uint8))
+        ml = np.array(mls)
+        src = np.cumsum(lls) + np.cumsum(ml) - ml - np.array(ofs)
+        # the latest match copying from the first 2,000 bytes: pushed
+        # 2,000 bytes further back, it points before the output start
+        k = int(np.flatnonzero(src < 2_000)[-1])
+        assert k > 0
+        orig = lz._off_decode
+
+        def shifted(code, extra):
+            of = orig(code, extra).copy()
+            of[k] += 2_000
+            return of
+
+        monkeypatch.setattr(lz, "_off_decode", shifted)
+        with pytest.raises(CodecError):
+            decode_blob(blob)
+
 
 class TestRaw:
     def test_roundtrip(self):

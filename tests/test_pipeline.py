@@ -200,9 +200,9 @@ class TestPartitioningInvariance:
 
 @pytest.mark.usefixtures("ray_session")
 def test_shared_state_encode_roundtrip(tmp_path):
-    """North-star stateful stage: trained tables broadcast once (ray.put),
-    fetched per actor, reused across blocks — decode must still be a
-    stateless pass producing bit-identical rows."""
+    """North-star shared state: trained tables broadcast once (one
+    object-store copy of the tasks' fn_kwargs), reused across blocks —
+    decode must still be a stateless pass producing bit-identical rows."""
     import ray.data as rd
 
     from pyppmd_ray.fixtures import generate_source_table
@@ -474,3 +474,97 @@ def test_job_pipeline_exotic_types(tmp_path):
         elif pa.types.is_dictionary(b.type) and not pa.types.is_dictionary(a.type):
             b = b.cast(b.type.value_type)
         assert a.equals(b), c
+
+
+@pytest.mark.usefixtures("ray_session")
+class TestOneKernel:
+    """Every pipeline shape runs the same encode_batches/decode_batches
+    kernels: with one pinned plan, the job and the streaming encode write
+    exactly the bytes the in-process kernel writes, and every decode
+    shape gives the input back."""
+
+    BLOCK = 512 << 10
+
+    @pytest.fixture(scope="class")
+    def pinned(self, tmp_path_factory):
+        from pyppmd_ray.pipelines.compress import plan_sample_table
+
+        path = str(tmp_path_factory.mktemp("onekernel") / "src.parquet")
+        pq.write_table(generate_source_table(600, seed=3), path)
+        tbl = pq.read_table(path)
+        hints, _ = plan_sample_table(tbl)
+        return path, tbl, hints
+
+    def _expected(self, tbl, hints):
+        from pyppmd_ray.stages.encode import encode_batches
+
+        exp = encode_batches(tbl, target_block_bytes=self.BLOCK, hints=hints)
+        assert exp.num_rows > 1
+        return exp["payload"].to_pylist()
+
+    def test_encode_job_matches_kernel(self, pinned, tmp_path):
+        path, tbl, hints = pinned
+        out = str(tmp_path / "enc")
+        s = run_encode_job(path, out, target_block_bytes=self.BLOCK, hints=hints)
+        assert s["units_total"] == 1
+        blocks = pq.read_table(glob.glob(os.path.join(out, "blocks", "*.parquet"))[0])
+        assert blocks["payload"].to_pylist() == self._expected(tbl, hints)
+
+        v = run_verify_job(path, out)
+        assert v["ok"] and v["units"] == 1, v
+
+        from pyppmd_ray.pipelines import run_decode_to_parquet
+
+        dest = str(tmp_path / "dec")
+        run_decode_to_parquet(out, dest)
+        dec = pq.read_table(glob.glob(os.path.join(dest, "*.parquet"))[0])
+        assert dec.equals(tbl)
+
+    def test_encode_dataset_matches_kernel(self, pinned):
+        import ray.data as rd
+
+        path, tbl, hints = pinned
+        enc_ds = encode_dataset(
+            rd.read_parquet(path), target_block_bytes=self.BLOCK, hints=hints,
+            batch_rows=tbl.num_rows,
+        )
+        enc = pa.concat_tables(enc_ds.iter_batches(batch_size=None, batch_format="pyarrow"))
+        assert enc["payload"].to_pylist() == self._expected(tbl, hints)
+
+        dec = pa.concat_tables(
+            decode_dataset(rd.from_arrow(enc)).iter_batches(
+                batch_size=None, batch_format="pyarrow"
+            )
+        )
+        assert dec.sort_by("path").equals(tbl.sort_by("path"))
+
+
+@pytest.mark.usefixtures("ray_session")
+def test_unit_manifest_covers_every_block(tmp_path):
+    """A unit whose blocks chose different cascades lists them all, and
+    its per-column bytes sum over every block, not just block 0."""
+    rng = np.random.default_rng(0)
+    n = 2000
+    t = pa.table(
+        {
+            "k": pa.array(
+                np.concatenate([np.arange(n), rng.integers(0, 1 << 40, n)]),
+                type=pa.int64(),
+            )
+        }
+    )
+    src = str(tmp_path / "src.parquet")
+    pq.write_table(t, src)
+    out = str(tmp_path / "enc")
+    # 8 bytes a row: one block per half, sorted then random
+    run_encode_job(src, out, target_block_bytes=8 * n)
+    (man,) = load_all_manifests(out)
+    blocks = pq.read_table(glob.glob(os.path.join(out, "blocks", "*.parquet"))[0])
+    metas = [json.loads(m)["columns"]["k"] for m in blocks["meta"].to_pylist()]
+    assert len(metas) == 2
+    codecs = sorted({m["codec"] for m in metas})
+    assert len(codecs) == 2, codecs
+    col = man["columns"]["k"]
+    assert col["codec"] == codecs
+    assert col["bytes"] == sum(m["bytes"] for m in metas)
+    assert col["type"] == metas[0]["type"]
