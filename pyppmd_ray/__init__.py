@@ -7,8 +7,9 @@ Parquet tables of source-code repositories using Ray Data:
 
 - codec library: dictionary, RLE, frame-of-reference + bit-packing, delta,
   FSST-style trained symbol tables, a from-scratch LZ77+rANS block codec,
-  and an interleaved static rANS entropy stage — all pure numpy over
-  zero-copy Arrow buffers;
+  and an interleaved static rANS entropy stage — numpy over zero-copy
+  Arrow buffers, with the rANS and bit-packing loops in one C source
+  that the first import compiles (``codecs/native.py``);
 - sampling-based per-column codec auto-selection per encoded block;
 - Ray Data pipelines: ``read_parquet → map_batches(encode_batches) →
   encoded-block parquet + per-partition lineage manifests`` and the inverse

@@ -1,10 +1,12 @@
 """Integer codecs: bit-packing, frame-of-reference, delta+zigzag, RLE,
 constant, raw.
 
-All vectorized numpy over contiguous buffers; every encoder returns a
-self-describing blob (see ``base.py``) and every decoder reproduces the
-input array bit-identically (the engine-wide translation of the reference's
-round-trip contract, `/root/reference/tests/test_ppmd7.py:56-92`).
+All vectorized numpy over contiguous buffers, except the bit packer's
+loops, which are compiled C (``rans_core.c``, loaded by ``native.py``).
+Every encoder returns a self-describing blob (see ``base.py``) and every
+decoder reproduces the input array bit-identically (the engine-wide
+translation of the reference's round-trip contract,
+`/root/reference/tests/test_ppmd7.py:56-92`).
 
 Integer domain: all encoders take int64/uint64-viewable arrays; narrower
 Arrow types are widened by the column layer and narrowed back on decode.
@@ -17,6 +19,7 @@ from __future__ import annotations
 import numpy as np
 
 from .base import CodecError, pack_blob, register, unpack_blob, read_uvarint, write_uvarint
+from .native import ffi, lib
 
 _U64 = np.uint64
 
@@ -26,23 +29,32 @@ def _bit_width(x: int) -> int:
 
 
 def pack_uints(arr: np.ndarray, width: int) -> bytes:
-    """LSB-first bit-pack ``arr`` (uint64, values < 2**width) into bytes."""
+    """LSB-first bit-pack ``arr`` (uint64, values < 2**width) into bytes:
+    bit j of value i is bit ``i*width + j`` of the little-endian bit
+    stream; bits of a value at or above ``width`` are dropped."""
     if width == 0 or arr.size == 0:
         return b""
-    if width > 64:
+    if not 0 < width <= 64:
         raise CodecError(f"bad width {width}")
-    shifts = np.arange(width, dtype=_U64)
-    bits = ((arr[:, None] >> shifts) & _U64(1)).astype(np.uint8)
-    return np.packbits(bits.reshape(-1), bitorder="little").tobytes()
+    v = np.ascontiguousarray(arr).astype(_U64, copy=False)
+    out = np.zeros((v.size * width + 7) // 8, dtype=np.uint8)
+    lib.pack_uints(
+        ffi.from_buffer("uint64_t[]", v), v.size, width, ffi.from_buffer("uint8_t[]", out)
+    )
+    return out.tobytes()
 
 
 def unpack_uints(buf: bytes | memoryview, n: int, width: int) -> np.ndarray:
+    """Inverse of :func:`pack_uints`; bytes past the last value are ignored."""
     if width == 0 or n == 0:
         return np.zeros(n, dtype=_U64)
-    raw = np.frombuffer(buf, dtype=np.uint8)
-    bits = np.unpackbits(raw, bitorder="little", count=n * width).reshape(n, width)
-    shifts = np.arange(width, dtype=_U64)
-    return (bits.astype(_U64) << shifts).sum(axis=1, dtype=_U64)
+    if not 0 < width <= 64 or n < 0:
+        raise CodecError(f"bad bit-pack shape n={n} width={width}")
+    src = ffi.from_buffer("uint8_t[]", buf)
+    out = np.empty(n, dtype=_U64)
+    if lib.unpack_uints(src, len(src), n, width, ffi.from_buffer("uint64_t[]", out)):
+        raise CodecError(f"bit-packed buffer too short for {n} x {width} bits")
+    return out
 
 
 def _as_u64(arr: np.ndarray) -> np.ndarray:

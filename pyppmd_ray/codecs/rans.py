@@ -1,12 +1,15 @@
-"""Interleaved static rANS entropy coder (order-0), vectorized with numpy.
+"""Interleaved static rANS entropy coder (order-0) with a compiled core.
 
 From-scratch design informed by the public rANS literature (Duda 2013,
 "Asymmetric numeral systems"; the widely documented byte-oriented rANS
 with interleaved lanes for SIMD decode). This replaces the reference's
 per-byte adaptive range coder (`/root/reference/src/lib/ppmd/Ppmd7Enc.c:9-72`,
-`Ppmd7Dec.c:9-64`) with a two-pass static model so both encode and decode
-vectorize across N independent lanes — the symbol loop runs ``ceil(n/N)``
-numpy steps instead of ``n`` Python steps.
+`Ppmd7Dec.c:9-64`) with a two-pass static model. The symbol loops of
+:func:`rans_encode`/:func:`rans_decode` are C (``rans_core.c``, built once
+per node and loaded by ``native.py``); this module keeps the model (freq
+quantization, lane count, blob framing) in numpy. The lane-vectorized
+numpy coder it replaced is kept in ``tests/numpy_oracle.py``, and the tests
+hold the two byte-identical.
 
 Stream framing is explicit (lane count, length, freq table, final states in
 the blob header) — the engine-wide answer to the reference's out-of-band
@@ -14,8 +17,11 @@ params + ``needs_input`` protocol (`/root/reference/README.rst:35-54`).
 
 Layout: symbols are assigned round-robin to N lanes (symbol i → lane i%N,
 step i//N). The decoder processes steps 0..T-1, lanes 0..N-1 within a step,
-refilling from ONE shared byte stream; the encoder runs the exact time
-reversal and assembles the stream so forward reads match.
+refilling from ONE shared stream of u16 words; the encoder runs the exact
+time reversal, writing its words backwards so forward reads match. The
+decoder also checks that the stream is consumed exactly and that every lane
+ends in the encoder's initial state, so most corruptions raise
+``CodecError`` instead of decoding to wrong bytes.
 """
 
 from __future__ import annotations
@@ -23,13 +29,14 @@ from __future__ import annotations
 import numpy as np
 
 from .base import CodecError, pack_blob, register
+from .native import ffi, lib
 
 PROB_BITS = 12
 M = 1 << PROB_BITS          # total of the quantized frequency table
 # u32 state, 16-bit renormalization: state in [L, 2^16*L); at most ONE
 # u16 word emitted/consumed per symbol (vs up to two bytes in the classic
-# byte-wise scheme) — halves the vector-op count per step. Requires every
-# freq < M so that f << 20 fits in u32 (see cap_full_freq).
+# byte-wise scheme). Requires every freq < M so that f << 20 fits in u32
+# (see cap_full_freq). rans_core.c hard-codes the same L and word size.
 RANS_L = 1 << 16
 _RENORM = 16
 _U32 = np.uint32
@@ -74,34 +81,18 @@ def cap_full_freq(f: np.ndarray, m: int = M) -> np.ndarray:
 
 
 def _lane_count(n: int) -> int:
-    # states cost 4 bytes/lane; bigger lanes = bigger numpy steps (the
-    # per-step kernel overhead dominates below ~4k elements) at ~0.6%
-    # header cost on large blocks
+    # part of the wire format (N is in every header): states cost 4
+    # bytes/lane, ~0.6% header cost on large blocks. The rule dates from the
+    # numpy coder, where more lanes meant fewer, bigger steps.
     return max(1, min(8192, n // 700)) if n else 1
 
 
-def _division_magic(
-    f_tab: np.ndarray, bound_log: int = 20
-) -> tuple[np.ndarray, np.ndarray]:
-    """Per-symbol (multiplier, shift) such that x // f == (x*m) >> s for
-    every dividend the encoder can present (renorm keeps x < f·2^bound_log,
-    where bound_log = 32 − prob_bits): s = bound_log + 2·ceil(log2 f),
-    m = ceil(2^s / f). Exactness (Granlund & Montgomery, Thm 4.2):
-    m·f − 2^s ≤ f−1 ≤ 2^s/B with B = f·2^bound_log ⇔
-    f(f−1) ≤ 2^(2·ceil(log2 f)), true for all f; the u64 product is
-    bounded by f·2^bound_log·2^s/f = 2^(bound_log+s) ≤ 2^(64−2(pb−L)) < 2^64
-    since L = ceil(log2 f) ≤ prob_bits. Zero-freq slots (never encoded)
-    get a dummy divisor of 1."""
-    f = f_tab.astype(np.int64)
-    safe = np.maximum(f, 1)
-    l = np.zeros_like(safe)
-    v = safe - 1
-    while (v > 0).any():
-        l[v > 0] += 1
-        v >>= 1
-    s = (bound_log + 2 * l).astype(_U64)
-    m = ((np.int64(1) << (bound_log + 2 * l)).astype(np.uint64) + safe.astype(_U64) - _U64(1)) // safe.astype(_U64)
-    return m, s
+_NO_MEMORY = -4
+_DECODE_ERRORS = {
+    -1: "corrupt frequency table",
+    -2: "rans stream overrun",
+    -3: "rans stream does not end where the encoder started",
+}
 
 
 def rans_encode(
@@ -113,12 +104,6 @@ def rans_encode(
     """Encode uint8/uint16 symbols with quantized ``freqs`` (sum ==
     2^prob_bits, every freq <= 2^prob_bits - 1 — see :func:`cap_full_freq`).
 
-    Round-robin lane layout (symbol i → lane i%N, step i//N) means only
-    the FINAL decode step (= first encode step here) is partially active;
-    every other step runs mask-free. Per-symbol (freq, start) arrays are
-    gathered once up front. u32 states with 16-bit renorm: at most one
-    u16 word per symbol, one compare per step.
-
     ``prob_bits`` may be raised (up to 16) for wide alphabets where the
     default 12-bit quantization is too coarse — e.g. the wtok token-id
     stream with thousands of symbols (see codecs/wtok.py).
@@ -126,93 +111,49 @@ def rans_encode(
     Returns (stream_bytes, final_states_u32, n_lanes).
     """
     sym = np.ascontiguousarray(symbols)
+    if sym.dtype != np.uint8 and sym.dtype != np.uint16:
+        raise CodecError(f"rans symbols must be uint8 or uint16, got {sym.dtype}")
     n = int(sym.size)
     N = n_lanes if n_lanes is not None else _lane_count(n)
-    f_tab = freqs.astype(_U32)
-    start_tab = np.concatenate(([0], np.cumsum(f_tab)))[:-1].astype(_U32)
-    fa = f_tab[sym]
-    sa = start_tab[sym]
-    m_tab, s_tab = _division_magic(f_tab, bound_log=32 - prob_bits)
-    ma = m_tab[sym]
-    sha = s_tab[sym]
-
-    states = np.full(N, RANS_L, dtype=_U32)
-    T = -(-n // N) if n else 0
-    chunks: list[np.ndarray] = []
-    shift = _U32(_RENORM)
-    pbits = _U32(prob_bits)
-    # f << (32-pb) == f * ((L >> prob_bits) << 16)
-    xmax_shift = _U32(32 - prob_bits)
-    w_mask = _U32(0xFFFF)
-
-    for t in range(T - 1, -1, -1):
-        lo = t * N
-        f = fa[lo : lo + N]
-        st = sa[lo : lo + N]
-        x = states
-        if f.size < N:  # only possible at t == T-1 (partial last step)
-            x = states[: f.size]
-        need = x >= (f << xmax_shift)
-        if need.any():
-            # decoder refills lanes in ascending order within the step
-            chunks.append((x[need] & w_mask).astype(np.uint16))
-            x = np.where(need, x >> shift, x)
-        # exact division by magic multiply (numpy integer '//' is a scalar
-        # loop; the renorm invariant x < f·2^20 bounds the dividend so the
-        # u64 product cannot overflow — see _division_magic)
-        q = ((x.astype(_U64) * ma[lo : lo + N]) >> sha[lo : lo + N]).astype(_U32)
-        nx = (q << pbits) + (x - q * f) + st
-        if nx.size < N:
-            states = states.copy()
-            states[: nx.size] = nx
-        else:
-            states = nx
-
-    chunks.reverse()
-    stream = np.concatenate(chunks).astype("<u2").tobytes() if chunks else b""
-    return stream, states.astype(_U32), N
+    if N < 1 or not 1 <= prob_bits <= 16:
+        raise CodecError(f"bad rans parameters N={N} prob_bits={prob_bits}")
+    f = np.ascontiguousarray(freqs, dtype=_U32)
+    states = np.empty(N, dtype=_U32)
+    out = np.empty(2 * n, dtype=np.uint8)
+    words = lib.rans_encode(
+        ffi.from_buffer(sym), sym.itemsize, n, N,
+        ffi.from_buffer("uint32_t[]", f), f.size, prob_bits,
+        ffi.from_buffer("uint32_t[]", states), ffi.from_buffer("uint8_t[]", out),
+    )
+    if words == _NO_MEMORY:
+        raise MemoryError("rans_encode")
+    if words < 0:
+        raise CodecError("rans symbol has no slot in the frequency table")
+    return out[2 * (n - words) :].tobytes(), states, N
 
 
 def rans_decode(stream: memoryview | bytes, states: np.ndarray, N: int, n: int,
                 freqs: np.ndarray, prob_bits: int = PROB_BITS) -> np.ndarray:
     """Inverse of :func:`rans_encode`; returns uint16 symbol array of length n.
 
-    Mask-free main loop: only the final step is partially active, and the
-    output slice per step is contiguous (round-robin layout transposed)."""
-    f_tab = freqs.astype(np.int64)
-    start_tab = np.concatenate(([0], np.cumsum(f_tab)))[:-1].astype(np.int64)
-    slot2sym = np.repeat(
-        np.arange(len(f_tab), dtype=np.uint16), f_tab
-    )
-    if slot2sym.size != (1 << prob_bits):
-        raise CodecError("corrupt frequency table")
-    buf = np.frombuffer(stream, dtype="<u2")
+    Integrity: besides overruns, decode raises ``CodecError`` unless the
+    stream is consumed exactly and every lane ends at ``RANS_L`` — the
+    state the encoder starts from, so any valid stream passes."""
+    if N < 1 or len(states) != N or n < 0 or not 1 <= prob_bits <= 16:
+        raise CodecError("bad rans header")
+    x = np.array(states, dtype=_U32)
+    f = np.ascontiguousarray(freqs, dtype=_U32)
     out = np.empty(n, dtype=np.uint16)
-    x = states.astype(_U32).copy()
-    ptr = 0
-    T = -(-n // N) if n else 0
-    mask = _U32((1 << prob_bits) - 1)
-    shift = _U32(_RENORM)
-    pbits = _U32(prob_bits)
-    L = _U32(RANS_L)
-
-    for t in range(T):
-        lo = t * N
-        if lo + N > n:  # partial final step
-            x = x[: n - lo]
-        slot = (x & mask).astype(np.int64)
-        s = slot2sym[slot]
-        out[lo : lo + s.size] = s
-        f = f_tab[s].astype(_U32)
-        st = start_tab[s].astype(_U32)
-        x = f * (x >> pbits) + (x & mask) - st
-
-        need = x < L
-        total = int(need.sum())
-        if total:
-            w = buf[ptr : ptr + total].astype(_U32)
-            x[need] = (x[need] << shift) | w
-            ptr += total
+    buf = ffi.from_buffer("uint8_t[]", stream)
+    rc = lib.rans_decode(
+        buf, len(buf), ffi.from_buffer("uint32_t[]", x), N, n,
+        ffi.from_buffer("uint32_t[]", f), f.size, prob_bits,
+        ffi.from_buffer("uint16_t[]", out),
+    )
+    if rc == _NO_MEMORY:
+        raise MemoryError("rans_decode")
+    if rc:
+        raise CodecError(_DECODE_ERRORS[rc])
     return out
 
 

@@ -21,7 +21,7 @@ from __future__ import annotations
 import numpy as np
 
 from .base import CodecError, pack_blob, register
-from .rans import M, PROB_BITS, RANS_L, _RENORM, _division_magic, cap_full_freq, normalize_freqs
+from .rans import M, PROB_BITS, RANS_L, _RENORM, cap_full_freq, normalize_freqs
 
 _U32 = np.uint32
 _U64 = np.uint64
@@ -45,6 +45,30 @@ def build_classes(data: np.ndarray) -> np.ndarray:
 def _lane_count(n: int) -> int:
     # match rans.py: big lanes amortize per-step numpy overhead
     return max(1, min(8192, n // 700)) if n else 1
+
+
+def _division_magic(
+    f_tab: np.ndarray, bound_log: int = 20
+) -> tuple[np.ndarray, np.ndarray]:
+    """Per-symbol (multiplier, shift) such that x // f == (x*m) >> s for
+    every dividend the encoder can present (renorm keeps x < f·2^bound_log,
+    where bound_log = 32 − prob_bits): s = bound_log + 2·ceil(log2 f),
+    m = ceil(2^s / f). Exactness (Granlund & Montgomery, Thm 4.2):
+    m·f − 2^s ≤ f−1 ≤ 2^s/B with B = f·2^bound_log ⇔
+    f(f−1) ≤ 2^(2·ceil(log2 f)), true for all f; the u64 product is
+    bounded by f·2^bound_log·2^s/f = 2^(bound_log+s) ≤ 2^(64−2(pb−L)) < 2^64
+    since L = ceil(log2 f) ≤ prob_bits. Zero-freq slots (never encoded)
+    get a dummy divisor of 1."""
+    f = f_tab.astype(np.int64)
+    safe = np.maximum(f, 1)
+    l = np.zeros_like(safe)
+    v = safe - 1
+    while (v > 0).any():
+        l[v > 0] += 1
+        v >>= 1
+    s = (bound_log + 2 * l).astype(_U64)
+    m = ((np.int64(1) << (bound_log + 2 * l)).astype(np.uint64) + safe.astype(_U64) - _U64(1)) // safe.astype(_U64)
+    return m, s
 
 
 def encode_rans1(data: bytes | memoryview | np.ndarray) -> bytes:
@@ -104,7 +128,7 @@ def encode_rans1(data: bytes | memoryview | np.ndarray) -> bytes:
         if need.any():
             chunks.append((x[need] & w_mask).astype(np.uint16))
             x = np.where(need, x >> shift, x)
-        # exact magic-multiply division (see rans.py _division_magic);
+        # exact magic-multiply division (see _division_magic);
         # inactive lanes may divide by a dummy f but their result is
         # discarded by the where() below
         q = ((x.astype(_U64) * ma[safe]) >> sha[safe]).astype(_U32)

@@ -24,8 +24,9 @@ re-learning the lexicon. This codec factors that out directly:
 The id stream lands within ~0.5% of the word-unigram entropy — on
 word-stream text this beats PPMd var.H (measured on the sf0.1
 documents text column: 174.4 KB engine vs 175.8 KB var.H o6/16M — see
-BASELINE.md) at vectorized-numpy speed, and the selector only picks it
-where the trial encode wins (code/CSV stays on lz/lined/fieldt).
+BASELINE.md) at the speed of the compiled rANS core, and the selector
+only picks it where the trial encode wins (code/CSV stays on
+lz/lined/fieldt).
 
 Wire format history: m=0 raw-fallback, m=1 legacy lo/hi byte-plane
 split (kept for decode compatibility), m=2 direct wide-rANS + front-
