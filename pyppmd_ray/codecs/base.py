@@ -109,10 +109,19 @@ def unpack_blob(blob: bytes | memoryview) -> tuple[str, dict, memoryview]:
         meta = json.loads(bytes(mv[pos : pos + mlen]).decode())
     except (json.JSONDecodeError, UnicodeDecodeError) as e:
         raise CodecError(f"truncated or corrupt blob meta: {e}") from e
+    if not isinstance(meta, dict):
+        raise CodecError("corrupt blob meta: not a JSON object")
     return _REGISTRY[cid][0], meta, mv[pos + mlen :]
 
 
 def decode_blob(blob: bytes | memoryview) -> Any:
-    """Decode any self-describing blob to the codec's natural value type."""
+    """Decode any self-describing blob to the codec's natural value type.
+
+    Decoders index their meta directly, so a corrupt blob with a missing
+    key or a wrongly typed value raises ``KeyError``/``TypeError`` inside
+    them; both are reported as ``CodecError``, like every other corruption."""
     name, meta, payload = unpack_blob(blob)
-    return _REGISTRY[_NAME_TO_ID[name]][1](meta, payload)
+    try:
+        return _REGISTRY[_NAME_TO_ID[name]][1](meta, payload)
+    except (KeyError, TypeError) as e:
+        raise CodecError(f"corrupt {name} blob meta: {e!r}") from e

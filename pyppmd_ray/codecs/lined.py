@@ -112,6 +112,8 @@ def _decode_lined(meta: dict, payload: memoryview) -> bytes:
     pos += clen
     olen, pos2 = read_uvarint(payload, pos)
     voff = np.asarray(decode_blob(payload[pos2 : pos2 + olen]), dtype=np.int64)
+    if voff.size != meta["D"] + 1:
+        raise CodecError("lined dictionary size mismatch")
     vdata = decode_blob(payload[pos2 + olen :])
     codes = np.frombuffer(code_bytes, dtype="<u2" if meta["w"] == 2 else "<u4").astype(
         np.int64

@@ -1,4 +1,5 @@
-"""Build-once loader for the compiled kernels in ``rans_core.c``.
+"""Build-once loader for the compiled kernels in ``kernels.c``: the order-0
+and order-1 rANS coders, the bit packer, and the LZ parse and expand loops.
 
 On first import the C source is compiled with the system C compiler
 (``$CC``, default ``cc``) into a shared library cached under
@@ -30,7 +31,7 @@ from pathlib import Path
 
 from cffi import FFI
 
-SOURCE = Path(__file__).with_name("rans_core.c")
+SOURCE = Path(__file__).with_name("kernels.c")
 FLAGS = ("-O2", "-shared", "-fPIC")
 
 ffi = FFI()
@@ -42,9 +43,23 @@ ffi.cdef(
     int rans_decode(const uint8_t *stream, int64_t nbytes, uint32_t *states,
                     int64_t N, int64_t n, const uint32_t *freq, int64_t A,
                     int prob_bits, uint16_t *out);
-    void pack_uints(const uint64_t *v, int64_t n, int width, uint8_t *out);
-    int unpack_uints(const uint8_t *buf, int64_t nbytes, int64_t n, int width,
-                     uint64_t *out);
+    int64_t rans1_encode(const uint8_t *sym, int64_t n, int64_t N,
+                         const uint8_t *cls, const uint32_t *freq, int64_t A,
+                         uint32_t *states, uint8_t *out);
+    int rans1_decode(const uint8_t *stream, int64_t nbytes, uint32_t *states,
+                     int64_t N, int64_t n, const uint8_t *cls,
+                     const uint32_t *freq, int64_t A, uint8_t *out);
+    int pack_bits(const uint64_t *v, int64_t n, const int64_t *widths, int width,
+                  uint8_t *out);
+    int unpack_bits(const uint8_t *buf, int64_t nbytes, int64_t n,
+                    const int64_t *widths, int width, uint64_t *out);
+    int64_t lz_parse(const uint8_t *d, int64_t n, const uint64_t *g8,
+                     const int32_t *c6, int64_t n6, const int32_t *c16, int64_t n16,
+                     int32_t *ll, int32_t *ml, int32_t *of, uint8_t *lits,
+                     int64_t *nlit);
+    int lz_expand(const int64_t *ll, const int64_t *ml, const int64_t *of,
+                  int64_t S, const uint8_t *lits, int64_t nlit, uint8_t *out,
+                  int64_t n);
     """
 )
 
@@ -73,7 +88,7 @@ def _compiler() -> list[str]:
     if exe is None:
         name = argv[0] if argv else "$CC"
         raise ImportError(
-            f"pyppmd_ray needs a C compiler to build its rANS core ({SOURCE.name}): "
+            f"pyppmd_ray needs a C compiler to build its codec kernels ({SOURCE.name}): "
             f"{name!r} was not found on PATH. Install a C compiler (e.g. gcc) "
             "or point $CC at one."
         )
@@ -103,7 +118,7 @@ def library_path() -> Path:
     key = hashlib.sha256(
         SOURCE.read_bytes() + " ".join(FLAGS).encode() + platform.machine().encode()
     ).hexdigest()[:16]
-    name = f"rans_core-{key}.so"
+    name = f"kernels-{key}.so"
     dirs = _cache_dirs()
     for d in dirs:
         if _writable(d):

@@ -2,7 +2,7 @@
 constant, raw.
 
 All vectorized numpy over contiguous buffers, except the bit packer's
-loops, which are compiled C (``rans_core.c``, loaded by ``native.py``).
+loops, which are compiled C (``kernels.c``, loaded by ``native.py``).
 Every encoder returns a self-describing blob (see ``base.py``) and every
 decoder reproduces the input array bit-identically (the engine-wide
 translation of the reference's round-trip contract,
@@ -28,6 +28,29 @@ def _bit_width(x: int) -> int:
     return int(x).bit_length()
 
 
+def _pack_bits(vals: np.ndarray, widths: np.ndarray | None, width: int, total: int) -> bytes:
+    v = np.ascontiguousarray(vals).astype(_U64, copy=False)
+    out = np.zeros((total + 7) // 8, dtype=np.uint8)
+    w = ffi.NULL if widths is None else ffi.from_buffer("int64_t[]", widths)
+    if lib.pack_bits(ffi.from_buffer("uint64_t[]", v), v.size, w, width,
+                     ffi.from_buffer("uint8_t[]", out)):
+        raise CodecError("bit width outside 0..64")
+    return out.tobytes()
+
+
+def _unpack_bits(buf: bytes | memoryview, n: int, widths: np.ndarray | None,
+                 width: int) -> np.ndarray:
+    src = ffi.from_buffer("uint8_t[]", buf)
+    out = np.empty(n, dtype=_U64)
+    w = ffi.NULL if widths is None else ffi.from_buffer("int64_t[]", widths)
+    rc = lib.unpack_bits(src, len(src), n, w, width, ffi.from_buffer("uint64_t[]", out))
+    if rc == -1:
+        raise CodecError("bit width outside 0..64")
+    if rc:
+        raise CodecError(f"bit-packed buffer of {len(src)} bytes too short for {n} values")
+    return out
+
+
 def pack_uints(arr: np.ndarray, width: int) -> bytes:
     """LSB-first bit-pack ``arr`` (uint64, values < 2**width) into bytes:
     bit j of value i is bit ``i*width + j`` of the little-endian bit
@@ -36,12 +59,7 @@ def pack_uints(arr: np.ndarray, width: int) -> bytes:
         return b""
     if not 0 < width <= 64:
         raise CodecError(f"bad width {width}")
-    v = np.ascontiguousarray(arr).astype(_U64, copy=False)
-    out = np.zeros((v.size * width + 7) // 8, dtype=np.uint8)
-    lib.pack_uints(
-        ffi.from_buffer("uint64_t[]", v), v.size, width, ffi.from_buffer("uint8_t[]", out)
-    )
-    return out.tobytes()
+    return _pack_bits(arr, None, width, arr.size * width)
 
 
 def unpack_uints(buf: bytes | memoryview, n: int, width: int) -> np.ndarray:
@@ -50,11 +68,22 @@ def unpack_uints(buf: bytes | memoryview, n: int, width: int) -> np.ndarray:
         return np.zeros(n, dtype=_U64)
     if not 0 < width <= 64 or n < 0:
         raise CodecError(f"bad bit-pack shape n={n} width={width}")
-    src = ffi.from_buffer("uint8_t[]", buf)
-    out = np.empty(n, dtype=_U64)
-    if lib.unpack_uints(src, len(src), n, width, ffi.from_buffer("uint64_t[]", out)):
-        raise CodecError(f"bit-packed buffer too short for {n} x {width} bits")
-    return out
+    return _unpack_bits(buf, n, None, width)
+
+
+def pack_varbits(vals: np.ndarray, widths: np.ndarray) -> bytes:
+    """The :func:`pack_uints` stream with a width per value: vals[i] takes
+    the next widths[i] bits (0..64), LSB-first."""
+    w = np.ascontiguousarray(widths, dtype=np.int64)
+    if w.size != vals.size:
+        raise CodecError(f"{vals.size} values but {w.size} widths")
+    return _pack_bits(vals, w, 0, int(w.sum()))
+
+
+def unpack_varbits(buf: bytes | memoryview, widths: np.ndarray) -> np.ndarray:
+    """Inverse of :func:`pack_varbits`; bytes past the last value are ignored."""
+    w = np.ascontiguousarray(widths, dtype=np.int64)
+    return _unpack_bits(buf, w.size, w, 0)
 
 
 def _as_u64(arr: np.ndarray) -> np.ndarray:
@@ -212,12 +241,10 @@ def encode_gcd(arr: np.ndarray) -> bytes | None:
     """GCD-scaling candidate: when every (v − min) shares a common
     divisor g > 1 — day-granular timestamps (g = 86.4e9 µs), cent
     prices, fixed-stride ids — encode (v − min)/g and reconstruct with
-    exact integer math. Returns None when g ≤ 1 or the value range
-    cannot be normalized safely."""
-    if arr.size == 0:
+    exact integer math. Returns None when g ≤ 1, the value range
+    cannot be normalized safely, or the dtype is not int64/uint64."""
+    if arr.size == 0 or arr.dtype not in (np.dtype(np.int64), np.dtype(np.uint64)):
         return None
-    if arr.dtype not in (np.dtype(np.int64), np.dtype(np.uint64)):
-        raise CodecError(f"encode_gcd: unsupported dtype {arr.dtype}")
     signed = arr.dtype == np.int64
     mn = int(arr.min())
     if signed:

@@ -5,7 +5,7 @@ From-scratch design informed by the public rANS literature (Duda 2013,
 with interleaved lanes for SIMD decode). This replaces the reference's
 per-byte adaptive range coder (`/root/reference/src/lib/ppmd/Ppmd7Enc.c:9-72`,
 `Ppmd7Dec.c:9-64`) with a two-pass static model. The symbol loops of
-:func:`rans_encode`/:func:`rans_decode` are C (``rans_core.c``, built once
+:func:`rans_encode`/:func:`rans_decode` are C (``kernels.c``, built once
 per node and loaded by ``native.py``); this module keeps the model (freq
 quantization, lane count, blob framing) in numpy. The lane-vectorized
 numpy coder it replaced is kept in ``tests/numpy_oracle.py``, and the tests
@@ -36,7 +36,7 @@ M = 1 << PROB_BITS          # total of the quantized frequency table
 # u32 state, 16-bit renormalization: state in [L, 2^16*L); at most ONE
 # u16 word emitted/consumed per symbol (vs up to two bytes in the classic
 # byte-wise scheme). Requires every freq < M so that f << 20 fits in u32
-# (see cap_full_freq). rans_core.c hard-codes the same L and word size.
+# (see cap_full_freq). kernels.c hard-codes the same L and word size.
 RANS_L = 1 << 16
 _RENORM = 16
 _U32 = np.uint32

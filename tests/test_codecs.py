@@ -431,6 +431,50 @@ class TestGcdCodec:
         np.testing.assert_array_equal(decode_blob(blob), v)
 
 
+    @pytest.mark.parametrize("dtype", [np.int32, np.uint32, np.int16, np.float64])
+    def test_non_64bit_dtype_declines(self, dtype):
+        from pyppmd_ray.codecs.numeric import encode_gcd
+
+        v = (np.arange(0, 1000, 10) * 3).astype(dtype)  # gcd 30
+        assert encode_gcd(v) is None
+
+
+class TestCorruptMeta:
+    """A blob whose meta lacks a key the decoder reads raises CodecError
+    (not KeyError), so callers catching CodecError see every corruption."""
+
+    @pytest.mark.parametrize("codec", ["rans0", "rans1", "lz", "lined"])
+    def test_each_meta_key_deleted_raises(self, codec):
+        from pyppmd_ray.codecs import encode_lined, unpack_blob
+        from pyppmd_ray.codecs.base import CodecError, pack_blob
+        from pyppmd_ray.codecs.rans_ctx import encode_rans1
+        from pyppmd_ray.fixtures import generate_source_table
+
+        t = generate_source_table(60, seed=2)
+        data = "\n".join(t["content"].to_pylist()).encode()[:30_000]
+        enc = {"rans0": encode_rans0, "rans1": encode_rans1, "lz": encode_lz,
+               "lined": encode_lined}[codec]
+        blob = enc(data)
+        name, meta, payload = unpack_blob(blob)
+        assert name == codec and len(meta) >= 3
+        for key in meta:
+            bad = pack_blob(name, {k: v for k, v in meta.items() if k != key}, payload)
+            with pytest.raises(CodecError):
+                decode_blob(bad)
+
+    def test_wrongly_typed_meta_raises(self):
+        from pyppmd_ray.codecs import unpack_blob
+        from pyppmd_ray.codecs.base import CodecError, pack_blob
+
+        blob = encode_rans0(SENTENCE * 10)
+        name, meta, payload = unpack_blob(blob)
+        for key in meta:
+            with pytest.raises(CodecError):
+                decode_blob(pack_blob(name, {**meta, key: "x"}, payload))
+        with pytest.raises(CodecError):
+            decode_blob(blob[:4] + b"\x02[]" + bytes(payload))
+
+
 class TestFdecCodec:
     def _roundtrip(self, arr):
         import numpy as np
