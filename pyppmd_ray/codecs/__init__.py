@@ -28,24 +28,14 @@ from .lz import encode_lz  # noqa: F401
 from .lined import encode_lined  # noqa: F401
 from .fieldt import encode_fieldt  # noqa: F401
 from .wtok import encode_wtok  # noqa: F401
-from .strings import encode_strings, encode_sdict, encode_bytes_auto  # noqa: F401
+from .strings import BYTE_CODECS, encode_strings, encode_sdict  # noqa: F401
 from .column import encode_column  # noqa: F401
 
 
 def encode_blob(name: str, data, **kwargs) -> bytes:
-    """Uniform entry: encode ``data`` with the named codec."""
-    table = {
-        "raw": encode_raw,
-        "rans0": encode_rans0,
-        "rans1": encode_rans1,
-        "fsst": encode_fsst,
-        "lz": encode_lz,
-        "lined": encode_lined,
-        "fieldt": encode_fieldt,
-        "wtok": encode_wtok,
-        "int": encode_int_auto,
-        "column": encode_column,
-    }
-    if name not in table:
+    """Uniform entry: encode ``data`` with the named codec — a byte codec
+    of ``BYTE_CODECS``, ``"int"`` or ``"column"``."""
+    enc = {**BYTE_CODECS, "int": encode_int_auto, "column": encode_column}.get(name)
+    if enc is None:
         raise CodecError(f"unknown codec {name!r}")
-    return table[name](data, **kwargs)
+    return enc(data, **kwargs)

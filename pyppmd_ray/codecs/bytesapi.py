@@ -22,17 +22,10 @@ from __future__ import annotations
 import numpy as np
 
 from .base import CodecError, decode_blob, read_uvarint, write_uvarint
-from .fsst import encode_fsst
-from .lz import encode_lz
-from .numeric import encode_raw
-from .rans import encode_rans0
+from .strings import BYTE_CODECS
 
-_ONE_SHOT = {
-    "lz": encode_lz,
-    "rans0": encode_rans0,
-    "fsst": encode_fsst,
-    "raw": encode_raw,
-}
+# the public subset of BYTE_CODECS that compress() and BlockCompressor take
+ONE_SHOT_CODECS = ("fsst", "lz", "rans0", "raw")
 
 DEFAULT_BLOCK_SIZE = 4 << 20
 # public parameter bounds — the analogue of the reference's max_order /
@@ -59,9 +52,9 @@ def compress(data: bytes | bytearray | memoryview | str, *, codec: str = "lz") -
     check, `__init__.py:142-149`)."""
     if isinstance(data, str):
         data = data.encode("utf-8")
-    if codec not in _ONE_SHOT:
-        raise CodecError(f"unknown codec {codec!r}; choose from {sorted(_ONE_SHOT)}")
-    return _ONE_SHOT[codec](bytes(data))
+    if codec not in ONE_SHOT_CODECS:
+        raise CodecError(f"unknown codec {codec!r}; choose from {list(ONE_SHOT_CODECS)}")
+    return BYTE_CODECS[codec](bytes(data))
 
 
 def decompress(blob: bytes | memoryview) -> bytes:
@@ -86,8 +79,8 @@ class BlockCompressor:
     62-92`); output = concatenation of all returned bytes."""
 
     def __init__(self, codec: str = "lz", block_size: int = DEFAULT_BLOCK_SIZE):
-        if codec not in _ONE_SHOT:
-            raise CodecError(f"unknown codec {codec!r}; choose from {sorted(_ONE_SHOT)}")
+        if codec not in ONE_SHOT_CODECS:
+            raise CodecError(f"unknown codec {codec!r}; choose from {list(ONE_SHOT_CODECS)}")
         self.codec = codec
         self.block_size = clamp_block_size(block_size)
         self._buf = bytearray()
@@ -107,7 +100,7 @@ class BlockCompressor:
         while len(self._buf) >= self.block_size:
             block = bytes(self._buf[: self.block_size])
             del self._buf[: self.block_size]
-            blob = _ONE_SHOT[self.codec](block)
+            blob = BYTE_CODECS[self.codec](block)
             out += write_uvarint(len(blob)) + blob
         return bytes(out)
 
@@ -124,7 +117,7 @@ class BlockCompressor:
         self._flushed = True
         out = b""
         if self._buf:
-            blob = _ONE_SHOT[self.codec](bytes(self._buf))
+            blob = BYTE_CODECS[self.codec](bytes(self._buf))
             self._buf.clear()
             out = write_uvarint(len(blob)) + blob
         return out + write_uvarint(0)

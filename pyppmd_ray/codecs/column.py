@@ -4,7 +4,7 @@ blob, bit-identical on round-trip.
 This is the engine's unit of work per (block × column) — the analogue of
 one reference compression stream (`/root/reference/src/pyppmd/__init__.py:
 126-155`), except the "stream" is a typed Arrow column and the codec is a
-cascade chosen per column (optionally pinned by the sampling selector).
+cascade chosen per column (string cascades by the sampling selector).
 
 Nested-type normalization note: decoded list/struct children use Arrow's
 default child-field NAMES and NULLABILITY ("item", nullable) — a source
@@ -19,8 +19,9 @@ Type dispatch:
   delta | RLE (smallest wins);
 - float32/64 → byte-shuffle + rANS vs raw (smallest wins);
 - bool → bitpack;
-- string / binary (+large) → dictionary (low cardinality) or plain
-  offsets+data with raw | rANS | FSST | LZ byte stage;
+- string / binary (+large) / fixed-size binary → dictionary or plain
+  offsets+data with one byte codec (raw | rANS | FSST | LZ | …), both
+  decided by the sampling selector (``select.plan_strcol``), never here;
 - list<primitive> → offsets (delta) + recursively encoded values;
 - nulls → validity bitmap blob + values encoded with nulls filled.
 """
@@ -34,14 +35,8 @@ import pyarrow.compute as pc
 from .base import CodecError, pack_blob, register, read_uvarint, write_uvarint
 from .numeric import encode_int_auto, encode_raw
 from .rans import encode_rans0
-from .strings import (
-    StrCol,
-    dict_encode_strcol,
-    encode_sdict,
-    encode_strings,
-    strcol_from_arrow,
-    strcol_to_arrow,
-)
+from .select import plan_strcol
+from .strings import StrCol, encode_sdict, encode_strings, strcol_from_arrow, strcol_to_arrow
 
 # ---------------------------------------------------------- type registry
 
@@ -187,7 +182,10 @@ def encode_column(arr: pa.Array | pa.ChunkedArray, hints: dict | None = None) ->
     """Encode one Arrow column into a self-describing blob.
 
     ``hints`` (from the sampling selector): {"layout": "sdict"|"strs",
-    "data_codec": one of strings.BYTE_CODECS} — pins choices to skip trials.
+    "data_codec": a name in strings.BYTE_CODECS, "fsst_table": [...]} for
+    a string-like column. A key left out is filled in by
+    ``select.plan_strcol`` on the column itself, which is also how nested
+    string children (struct, list, map, dictionary) are encoded.
     """
     if isinstance(arr, pa.ChunkedArray):
         arr = arr.combine_chunks()
@@ -200,7 +198,7 @@ def encode_column(arr: pa.Array | pa.ChunkedArray, hints: dict | None = None) ->
     if has_null:
         validity = np.asarray(pc.is_valid(arr))
         null_blob = encode_raw(np.packbits(validity, bitorder="little").tobytes())
-        fill = _null_fill_value(t)
+        fill = null_fill_value(t)
         arr = pc.fill_null(arr, fill) if fill is not None else arr
 
     child = _encode_values(arr, tstr, hints)
@@ -209,7 +207,10 @@ def encode_column(arr: pa.Array | pa.ChunkedArray, hints: dict | None = None) ->
     return pack_blob("column", meta, payload)
 
 
-def _null_fill_value(t: pa.DataType):
+def null_fill_value(t: pa.DataType):
+    """What a null slot is read as, by the encoder here and by the
+    canonical hash (``stages/blocks.py``); None where nulls are handled
+    structurally."""
     if pa.types.is_null(t):
         return None  # every slot is null by construction
     if pa.types.is_string(t) or pa.types.is_large_string(t):
@@ -349,22 +350,17 @@ def _fill_null_lists(arr: pa.Array) -> pa.Array:
 
 
 def _encode_strcol(col: StrCol, hints: dict) -> bytes:
-    layout = hints.get("layout")
-    data_hint = hints.get("data_codec")
-    fsst_table = hints.get("fsst_table")  # shared pre-trained symbol table
-    offsets, data = col
-    n = int(offsets.size) - 1
-    if layout == "sdict":
-        return encode_sdict(col, data_hint=data_hint, fsst_table=fsst_table)
-    if layout == "strs":
-        return encode_strings(col, data_hint=data_hint, fsst_table=fsst_table)
-    # heuristic: dictionary when cardinality is low
-    if n >= 8:
-        codes, (voff, vdata) = dict_encode_strcol(col)
-        distinct = voff.size - 1
-        if distinct <= max(1, n // 2):
-            return encode_sdict(col, data_hint=data_hint, fsst_table=fsst_table)
-    return encode_strings(col, data_hint=data_hint, fsst_table=fsst_table)
+    """Encode under the hinted layout and byte codec; a key the hints
+    lack comes from :func:`plan_strcol`, so a column without hints (a
+    nested child, a fixed-size binary) gets the bytes it would get
+    planned at top level."""
+    layout, data_codec = hints.get("layout"), hints.get("data_codec")
+    if layout is None or data_codec is None:
+        plan = plan_strcol(col)
+        layout = layout or plan["layout"]
+        data_codec = data_codec or plan["data_codec"]
+    encode = encode_sdict if layout == "sdict" else encode_strings
+    return encode(col, data_codec, fsst_table=hints.get("fsst_table"))
 
 
 def _decode_boolp(meta: dict, payload: memoryview):

@@ -12,11 +12,7 @@ from __future__ import annotations
 import numpy as np
 import pyarrow as pa
 
-from .fieldt import encode_fieldt
-from .fsst import encode_fsst
-from .lined import encode_lined
-from .lz import encode_lz
-from .strings import StrCol, dict_encode_strcol, strcol_from_arrow
+from .strings import BYTE_CODECS, StrCol, dict_encode_strcol, filled_strcol
 
 SAMPLE_BYTES = 32 << 10
 
@@ -53,34 +49,36 @@ def pick_byte_codec(sample: bytes, avg_len: float | None = None) -> str:
         (r0 * 1.02, "rans0"),
         (r1 * 1.03, "rans1"),
     ]
-    trials: list[tuple[str, object, float]] = []
+    trials: list[tuple[str, float]] = []
     if avg_len is None or avg_len <= 96:
-        trials.append(("fsst", encode_fsst, 1.05))
+        trials.append(("fsst", 1.05))
     if n >= 4096 and (avg_len is None or avg_len > 32):
-        trials.append(("lz", encode_lz, 1.08))
+        trials.append(("lz", 1.08))
     if sample.count(b"\n", 0, 8192) >= 16:
-        trials.append(("lined", encode_lined, 1.00))
+        trials.append(("lined", 1.00))
         from .fieldt import _detect
 
         if _detect(sample.split(b"\n")[:512])[0] is not None:
-            trials.append(("fieldt", encode_fieldt, 1.00))
+            trials.append(("fieldt", 1.00))
     # prose probe: space-token structure (one token every ~4..64 bytes)
     # → try the word-dictionary codec; like lined, its dictionary gains
     # GROW with block size, so no cost bias at trial time
     n_sp = sample.count(b" ")
     if n >= 4096 and n // 64 <= n_sp <= n // 3:
-        from .wtok import encode_wtok
-
-        trials.append(("wtok", encode_wtok, 1.00))
-    for name, enc, bias in trials:
+        trials.append(("wtok", 1.00))
+    for name, bias in trials:
         try:
-            scored.append((len(enc(sample)) * bias, name))
+            scored.append((len(BYTE_CODECS[name](sample)) * bias, name))
         except Exception:
             continue
     return min(scored)[1]
 
 
 def plan_strcol(col: StrCol) -> dict:
+    """``{"layout", "data_codec"}`` for one string column — the engine's
+    only string codec chooser: ``plan_table`` calls it for top-level
+    columns, the column encoder for any string column whose hints lack a
+    key (nested children, fixed-size binary, partial hints)."""
     offsets, data = col
     n = int(offsets.size) - 1
     hints: dict = {}
@@ -140,23 +138,9 @@ def plan_table(tbl: pa.Table) -> dict[str, dict]:
     (numeric cascades self-select cheaply inside encode_int_auto)."""
     plans: dict[str, dict] = {}
     for name in tbl.column_names:
-        col = tbl[name]
-        if isinstance(col, pa.ChunkedArray):
-            col = col.combine_chunks()
-        t = col.type
-        if (
-            pa.types.is_string(t)
-            or pa.types.is_large_string(t)
-            or pa.types.is_binary(t)
-            or pa.types.is_large_binary(t)
-        ):
-            arr = col
-            if arr.null_count:
-                import pyarrow.compute as pc
-
-                is_bin = pa.types.is_binary(t) or pa.types.is_large_binary(t)
-                arr = pc.fill_null(arr, b"" if is_bin else "")
-            plans[name] = plan_strcol(strcol_from_arrow(arr))
+        col = filled_strcol(tbl[name])
+        if col is not None:
+            plans[name] = plan_strcol(col)
     return plans
 
 
@@ -166,7 +150,6 @@ def validate_hints(hints: dict | None) -> dict | None:
     mem_size / variant validation, `/root/reference/src/ext/
     _ppmdmodule.c:157-174` + `__init__.py:142-149`). Raises CodecError."""
     from .base import CodecError
-    from .strings import BYTE_CODECS
 
     if hints is None:
         return None
@@ -181,7 +164,7 @@ def validate_hints(hints: dict | None) -> dict | None:
         dc = h.get("data_codec")
         if dc is not None and dc not in BYTE_CODECS:
             raise CodecError(
-                f"hints[{col!r}]['data_codec'] must be one of {BYTE_CODECS}, got {dc!r}"
+                f"hints[{col!r}]['data_codec'] must be one of {tuple(BYTE_CODECS)}, got {dc!r}"
             )
         ft = h.get("fsst_table")
         if ft is not None and not (

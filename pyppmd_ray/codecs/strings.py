@@ -5,8 +5,8 @@ In-memory representation shared with the column layer: a string column is
 extracted zero-copy from ``pa.Array`` buffers.
 
 - ``strs``: offsets → best int codec (delta wins on monotone offsets),
-  data bytes → best of raw / rans0 / fsst / lz chosen by the caller
-  (the sampling selector) or by trial here.
+  data bytes → the byte codec the caller names (``data_codec``, which
+  ``select.plan_strcol`` decides; this module never chooses one).
 - ``sdict``: dictionary-encode values (codes → int codec cascade, distinct
   values → a nested ``strs`` blob). Wins on low-cardinality columns
   (``lang``, ``repo``, ``commit``).
@@ -17,52 +17,48 @@ from __future__ import annotations
 import numpy as np
 
 from .base import CodecError, pack_blob, register, read_uvarint, write_uvarint
+from .fieldt import encode_fieldt
 from .fsst import encode_fsst
+from .lined import encode_lined
 from .lz import encode_lz
 from .numeric import encode_int_auto, encode_raw
 from .rans import encode_rans0
+from .rans_ctx import encode_rans1
+from .wtok import encode_wtok
 
 StrCol = tuple[np.ndarray, bytes]
 
-BYTE_CODECS = ("raw", "rans0", "rans1", "fsst", "lz", "lined", "fieldt", "wtok")
+# the one name → encoder table of the byte-stream codecs: the selector's
+# trials, string columns, hint validation, ``encode_blob`` and
+# ``compress()`` all read it
+BYTE_CODECS = {
+    "raw": encode_raw,
+    "rans0": encode_rans0,
+    "rans1": encode_rans1,
+    "fsst": encode_fsst,
+    "lz": encode_lz,
+    "lined": encode_lined,
+    "fieldt": encode_fieldt,
+    "wtok": encode_wtok,
+}
 
 
-def encode_bytes_auto(data: bytes, allowed: tuple[str, ...] = BYTE_CODECS,
-                      sample_hint: str | None = None,
-                      fsst_table: list[bytes] | None = None) -> bytes:
-    """Pick the smallest byte-stream codec; ``sample_hint`` pins one codec
-    (the per-partition selector's decision) to skip per-block trials.
-    ``fsst_table``: pre-trained shared symbol table (the shared
-    trained-state path, ``encode_dataset_shared``) — skips per-block table training; the table is
-    still embedded in the blob, so decode stays stateless."""
-    if sample_hint is not None:
-        allowed = (sample_hint,)
-    from .rans_ctx import encode_rans1
-    from .lined import encode_lined
-    from .fieldt import encode_fieldt
-    from .wtok import encode_wtok
-
-    enc = {
-        "raw": encode_raw,
-        "rans0": encode_rans0,
-        "rans1": encode_rans1,
-        "fsst": (lambda d: encode_fsst(d, table=fsst_table)) if fsst_table else encode_fsst,
-        "lz": encode_lz,
-        "lined": encode_lined,
-        "fieldt": encode_fieldt,
-        "wtok": encode_wtok,
-    }
-    if len(data) < 64:
-        allowed = ("raw",)
-    blobs = [enc[name](data) for name in allowed]
-    return min(blobs, key=len)
-
-
-def encode_strings(col: StrCol, data_hint: str | None = None,
+def encode_strings(col: StrCol, data_codec: str = "raw",
                    fsst_table: list[bytes] | None = None) -> bytes:
+    """``data_codec``: a name in ``BYTE_CODECS``; data under 64 bytes is
+    stored raw. ``fsst_table``: pre-trained shared symbol table (the
+    shared trained-state path, ``encode_dataset_shared``) — skips
+    per-block table training; the table is still embedded in the blob,
+    so decode stays stateless."""
     offsets, data = col
+    data = bytes(data)
     ob = encode_int_auto(np.ascontiguousarray(offsets, dtype=np.int64))
-    db = encode_bytes_auto(bytes(data), sample_hint=data_hint, fsst_table=fsst_table)
+    if len(data) < 64:
+        db = encode_raw(data)
+    elif data_codec == "fsst" and fsst_table:
+        db = encode_fsst(data, table=fsst_table)
+    else:
+        db = BYTE_CODECS[data_codec](data)
     payload = write_uvarint(len(ob)) + ob + db
     return pack_blob("strs", {"n": int(offsets.size) - 1}, payload)
 
@@ -99,6 +95,23 @@ def strcol_from_arrow(arr) -> StrCol:
     off = (off - start).astype(np.int64)
     data = bytes(memoryview(bufs[2])[start:end]) if bufs[2] is not None and end > start else b""
     return off, data
+
+
+def filled_strcol(arr) -> StrCol | None:
+    """(offsets, data) of a (large) string/binary column with nulls read
+    as empty values; None for any other type."""
+    import pyarrow as pa
+    import pyarrow.compute as pc
+
+    if isinstance(arr, pa.ChunkedArray):
+        arr = arr.combine_chunks()
+    t = arr.type
+    is_bin = pa.types.is_binary(t) or pa.types.is_large_binary(t)
+    if not (is_bin or pa.types.is_string(t) or pa.types.is_large_string(t)):
+        return None
+    if arr.null_count:
+        arr = pc.fill_null(arr, b"" if is_bin else "")
+    return strcol_from_arrow(arr)
 
 
 def strcol_to_arrow(col: StrCol, large: bool = True):
@@ -152,11 +165,11 @@ def dict_encode_strcol(col: StrCol) -> tuple[np.ndarray, StrCol]:
     return codes, strcol_from_arrow(d.dictionary)
 
 
-def encode_sdict(col: StrCol, data_hint: str | None = None,
+def encode_sdict(col: StrCol, data_codec: str = "raw",
                  fsst_table: list[bytes] | None = None) -> bytes:
     codes, (voff, vdata) = dict_encode_strcol(col)
     cb = encode_int_auto(codes)
-    vb = encode_strings((voff, vdata), data_hint=data_hint, fsst_table=fsst_table)
+    vb = encode_strings((voff, vdata), data_codec, fsst_table=fsst_table)
     payload = write_uvarint(len(cb)) + cb + vb
     return pack_blob("sdict", {"n": int(codes.size)}, payload)
 

@@ -220,10 +220,8 @@ def train_shared_state(
     the reference's per-stream trained model, which refuses pickling and
     must be built inside each worker
     (`/root/reference/src/ext/_ppmdmodule.c:617-634`)."""
-    import pyarrow.compute as pc
-
     from ..codecs.fsst import train_table
-    from ..codecs.strings import strcol_from_arrow
+    from ..codecs.strings import filled_strcol
 
     sample = ds.limit(sample_rows).take_batch(sample_rows, batch_format="pyarrow")
     if columns:
@@ -233,19 +231,10 @@ def train_shared_state(
     for name, h in hints.items():
         if h.get("data_codec") != "fsst":
             continue
-        col = sample[name]
-        if isinstance(col, pa.ChunkedArray):
-            col = col.combine_chunks()
-        t = col.type
-        if not (
-            pa.types.is_string(t) or pa.types.is_large_string(t)
-            or pa.types.is_binary(t) or pa.types.is_large_binary(t)
-        ):
+        col = filled_strcol(sample[name])
+        if col is None:
             continue
-        is_bin = pa.types.is_binary(t) or pa.types.is_large_binary(t)
-        if col.null_count:
-            col = pc.fill_null(col, b"" if is_bin else "")
-        _, data = strcol_from_arrow(col)
+        _, data = col
         if len(data) >= 256:
             h["fsst_table"] = train_table(data[: 1 << 20])
     return {"hints": hints, "batch_rows": batch_rows}
@@ -635,16 +624,9 @@ def row_sha256(tbl: pa.Table, column: str = "content") -> list[str]:
     """Per-row sha256 of a string/binary column — the reference contract
     (`/root/reference/tests/test_ppmd7.py:76-92`: sha of decompressed ==
     sha of input)."""
-    from ..codecs.strings import strcol_from_arrow
-    import pyarrow.compute as pc
+    from ..codecs.strings import filled_strcol
 
-    col = tbl[column]
-    if isinstance(col, pa.ChunkedArray):
-        col = col.combine_chunks()
-    if col.null_count:
-        is_bin = pa.types.is_binary(col.type) or pa.types.is_large_binary(col.type)
-        col = pc.fill_null(col, b"" if is_bin else "")
-    off, data = strcol_from_arrow(col)
+    off, data = filled_strcol(tbl[column])
     mv = memoryview(data)
     return [
         hashlib.sha256(mv[off[i] : off[i + 1]]).hexdigest() for i in range(len(off) - 1)

@@ -26,7 +26,7 @@ import pyarrow as pa
 
 from ..codecs import decode_blob, unpack_blob
 from ..codecs.base import read_uvarint, write_uvarint
-from ..codecs.column import encode_column, type_to_str
+from ..codecs.column import encode_column, null_fill_value, type_to_str
 from ..codecs.select import plan_table
 
 BLOCK_SCHEMA = pa.schema(
@@ -54,7 +54,8 @@ def canonical_column_bytes(arr: pa.Array) -> list[bytes]:
         return [len(arr).to_bytes(8, "little")]  # content IS the length
     if arr.null_count:
         parts.append(np.packbits(np.asarray(pc.is_valid(arr)), bitorder="little").tobytes())
-        arr = pc.fill_null(arr, _zero_value(t)) if _zero_value(t) is not None else arr
+        fill = null_fill_value(t)
+        arr = pc.fill_null(arr, fill) if fill is not None else arr
     if pa.types.is_string(t) or pa.types.is_large_string(t) or pa.types.is_binary(t) or pa.types.is_large_binary(t):
         from ..codecs.strings import strcol_from_arrow
 
@@ -114,35 +115,6 @@ def canonical_column_bytes(arr: pa.Array) -> list[bytes]:
     return parts
 
 
-def _zero_value(t: pa.DataType):
-    import pyarrow as pa
-
-    if pa.types.is_string(t) or pa.types.is_large_string(t):
-        return ""
-    if pa.types.is_fixed_size_binary(t):
-        return pa.scalar(b"\x00" * t.byte_width, type=t)
-    if pa.types.is_binary(t) or pa.types.is_large_binary(t):
-        return b""
-    if pa.types.is_boolean(t):
-        return False
-    if (
-        pa.types.is_list(t) or pa.types.is_large_list(t)
-        or pa.types.is_dictionary(t) or pa.types.is_struct(t)
-        or pa.types.is_map(t) or pa.types.is_float16(t)
-    ):
-        return None  # handled structurally in their canonical branches
-    if pa.types.is_decimal128(t):
-        from decimal import Decimal
-
-        return pa.scalar(Decimal(0), type=t)
-    if (
-        pa.types.is_time32(t) or pa.types.is_time64(t) or pa.types.is_duration(t)
-        or pa.types.is_timestamp(t) or pa.types.is_date32(t) or pa.types.is_date64(t)
-    ):
-        return pa.scalar(0, type=t)
-    return 0
-
-
 def table_uncompressed_bytes(tbl: pa.Table) -> int:
     return sum(sum(len(p) for p in canonical_column_bytes(tbl[c])) for c in tbl.column_names)
 
@@ -151,38 +123,29 @@ PERM_ENTRY = "\x00perm"  # reserved payload entry name (NUL is invalid in schema
 CLUSTER_AUTO = ("lang", "source", "path")
 
 
-def encode_block(
-    tbl: pa.Table,
-    hints: dict[str, dict] | None = None,
-    cluster_by: tuple[str, ...] | str | None = "auto",
-) -> dict:
+def encode_block(tbl: pa.Table, hints: dict[str, dict] | None = None) -> dict:
     """Encode one table slice into a block row (dict matching BLOCK_SCHEMA).
 
-    ``cluster_by``: sort rows by these key columns before encoding (the
-    north rule's lang-aware layout — similar content clusters, so
-    dictionaries/LZ windows see denser redundancy; measured ~4.5% smaller
-    on the source fixture). The inverse permutation is stored in the block
-    and decode restores the EXACT original row order — bit-identity holds.
-    "auto" uses whichever of {lang, source, path} exist."""
+    Rows are first sorted by whichever of ``CLUSTER_AUTO`` (lang, source,
+    path) exist (the north rule's lang-aware layout — similar content
+    clusters, so dictionaries/LZ windows see denser redundancy; measured
+    ~4.5% smaller on the source fixture). The inverse permutation is
+    stored in the block and decode restores the EXACT original row order
+    — bit-identity holds."""
     import pyarrow.compute as pc
 
     perm_blob = None
-    if cluster_by:
-        keys = [
-            c
-            for c in (CLUSTER_AUTO if cluster_by == "auto" else cluster_by)
-            if c in tbl.column_names
-        ]
-        if keys and tbl.num_rows > 1:
-            idx = pc.sort_indices(tbl, sort_keys=[(k, "ascending") for k in keys])
-            idxa = np.asarray(idx, dtype=np.int64)
-            if not np.array_equal(idxa, np.arange(tbl.num_rows)):
-                inv = np.empty_like(idxa)
-                inv[idxa] = np.arange(idxa.size)
-                tbl = tbl.take(idx)
-                from ..codecs.numeric import encode_int_auto
+    keys = [c for c in CLUSTER_AUTO if c in tbl.column_names]
+    if keys and tbl.num_rows > 1:
+        idx = pc.sort_indices(tbl, sort_keys=[(k, "ascending") for k in keys])
+        idxa = np.asarray(idx, dtype=np.int64)
+        if not np.array_equal(idxa, np.arange(tbl.num_rows)):
+            inv = np.empty_like(idxa)
+            inv[idxa] = np.arange(idxa.size)
+            tbl = tbl.take(idx)
+            from ..codecs.numeric import encode_int_auto
 
-                perm_blob = encode_int_auto(inv)
+            perm_blob = encode_int_auto(inv)
     if hints is None:
         hints = plan_table(tbl)
     h = hashlib.sha256()

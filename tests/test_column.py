@@ -231,3 +231,58 @@ class TestExtendedTypes:
         blk = encode_block(t)
         proj = decode_block(blk["payload"], columns=["id"])
         assert proj.column_names == ["id"]
+
+
+class TestOneStringPlanner:
+    """A string column without hints is encoded under ``plan_strcol``'s
+    choice — the planner ``plan_table`` runs for top-level columns — so a
+    nested child gets the bytes it would get planned at top level."""
+
+    @pytest.fixture(scope="class")
+    def paths(self) -> list[str]:
+        from pyppmd_ray.fixtures import generate_source_table
+
+        return generate_source_table(300, seed=11)["path"].to_pylist()
+
+    @staticmethod
+    def planned(child: pa.Array) -> bytes:
+        from pyppmd_ray.codecs.select import plan_strcol
+        from pyppmd_ray.codecs.strings import filled_strcol
+
+        return encode_column(child, hints=plan_strcol(filled_strcol(child)))
+
+    def test_nested_children_encode_as_planned(self, paths):
+        child = pa.array(paths)
+        null_row = pa.array([i == 7 for i in range(len(paths))])
+        triples = [paths[i : i + 3] for i in range(0, len(paths), 3)]
+        nested = {
+            # a null parent row reaches the child as a null
+            "struct": (
+                pa.StructArray.from_arrays([child], ["path"], mask=null_row),
+                pa.array([None if i == 7 else p for i, p in enumerate(paths)]),
+            ),
+            "list<string>": (pa.array(triples, type=pa.list_(pa.string())), child),
+            "dictionary<string>": (child.dictionary_encode(), child.unique()),
+        }
+        for name, (arr, expect_child) in nested.items():
+            blob = encode_column(arr)
+            assert self.planned(expect_child) in blob, name
+            assert decode_blob(blob).equals(arr), name
+
+    def test_fixed_size_binary_encodes_as_planned(self, paths):
+        from pyppmd_ray.codecs.select import plan_strcol
+
+        values = [p.encode()[:16].ljust(16, b" ") for p in paths]
+        arr = pa.array(values, type=pa.binary(16))
+        col = (np.arange(len(values) + 1, dtype=np.int64) * 16, b"".join(values))
+        blob = encode_column(arr)
+        assert blob == encode_column(arr, hints=plan_strcol(col))
+        assert decode_blob(blob).equals(arr)
+
+    def test_partial_hint_takes_planned_codec(self, paths):
+        from pyppmd_ray.codecs.select import plan_strcol
+
+        arr = pa.array(paths)
+        data_codec = plan_strcol(strcol_from_arrow(arr))["data_codec"]
+        blob = encode_column(arr, hints={"layout": "strs"})
+        assert blob == encode_column(arr, hints={"layout": "strs", "data_codec": data_codec})

@@ -12,6 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 import hashlib
+import os
 
 import pytest
 
@@ -85,6 +86,37 @@ def test_full_blob_pins(case, f1_text):
     blob = _ENCODERS[case](data)
     assert hashlib.sha256(blob).hexdigest() == digest
     assert decode_blob(blob) == data
+
+
+# sha256 of the concatenated block payloads of encode_batches(tbl), each
+# batch planned by the selector, recorded before string columns without
+# hints were routed through plan_strcol: planned encodes must not move
+PAYLOAD_SHA256 = {
+    "source": "63948285a6e08341675640d2b5aa33faefa0227f67c7556fef644359f788a641",
+    "documents": "d2783863158467ca5e4e724949a6a4bea84f480597aeb265510990b658e06c21",
+    "events": "6708dc2d1291267b0cd9e60a02e8e629b3008408ff08fef589ac3940d79a0a8f",
+    "lineitem": "5a99d1fa514800c29fef1412f466201c80db29ad875095973d9895b7039c037d",
+}
+SF_DIR = "/root/testdata/sf0.001"
+
+
+@pytest.mark.parametrize("case", sorted(PAYLOAD_SHA256))
+def test_planned_payload_pins(case):
+    from pyppmd_ray.stages.encode import encode_batches
+
+    if case == "source":
+        tbl = generate_source_table(300, seed=11)
+    else:
+        path = os.path.join(SF_DIR, f"{case}.parquet")
+        if not os.path.exists(path):
+            pytest.skip(f"{path} absent")
+        import pyarrow.parquet as pq
+
+        tbl = pq.read_table(path)
+    h = hashlib.sha256()
+    for payload in encode_batches(tbl)["payload"].to_pylist():
+        h.update(payload)
+    assert h.hexdigest() == PAYLOAD_SHA256[case]
 
 
 def test_decode_golden_blobs():

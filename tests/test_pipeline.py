@@ -351,7 +351,7 @@ class TestProjectionDecode:
                 "text": pa.array([f"body {i}" for i in range(100)]),
             }
         )
-        blk = encode_block(t, cluster_by=("lang",))
+        blk = encode_block(t)
         proj = decode_block(blk["payload"], columns=["doc_id"])
         assert proj["doc_id"].to_pylist() == list(range(100))
 
