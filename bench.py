@@ -29,7 +29,7 @@ REPO = os.path.dirname(os.path.abspath(__file__))
 sys.path.insert(0, REPO)
 
 SF_DIR = os.environ.get("GRAFT_SF_DIR", "/root/testdata/sf0.1")
-NUM_CPUS = int(os.environ.get("RAY_GRAFT_CPUS", "32"))
+NUM_CPUS = int(os.environ.get("RAY_GRAFT_CPUS") or os.cpu_count() or 1)
 BENCH_ROWS = int(os.environ.get("GRAFT_BENCH_ROWS", "120000"))
 BLOCK_BYTES = 4 << 20
 # pinned read fan-out for the source fixture: Ray otherwise derives read

@@ -7,9 +7,14 @@ replaces frequent substrings with 1-byte codes.
 
 Engine-specific format choices (NOT the paper's wire format):
 - code 255 = escape; escaped literal bytes go to a SEPARATE literal stream
-  (keeps decode fully vectorizable — no in-band escape ambiguity);
+  (no in-band escape ambiguity);
 - the code stream and literal stream are each entropy-coded with the
   engine's rANS stage when that wins over raw.
+
+Table training (which symbols) runs in numpy here; the greedy
+longest-match encode and the decode are compiled (``kernels.c``). The
+numpy/Python versions they replaced are kept in ``tests/numpy_oracle.py``,
+and the tests hold the two byte-identical.
 
 The trained table is the engine's analogue of the reference's per-stream
 adaptive model state: it is built once per block/partition sample and
@@ -23,6 +28,7 @@ from __future__ import annotations
 import numpy as np
 
 from .base import CodecError, pack_blob, register, read_uvarint, write_uvarint
+from .native import ffi, lib
 from .rans import encode_rans0
 
 ESCAPE = 255
@@ -95,85 +101,53 @@ def train_table(sample: bytes | np.ndarray, max_syms: int = MAX_SYMS) -> list[by
     return table
 
 
-def _build_matchers(table: list[bytes]):
-    """Per-length sorted (gram-value, code) arrays for vectorized lookup."""
-    by_len: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-    for length in sorted({len(s) for s in table}, reverse=True):
-        vals, codes = [], []
-        for code, sym in enumerate(table):
-            if len(sym) == length:
-                vals.append(int.from_bytes(sym.ljust(8, b"\0"), "little"))
-                codes.append(code)
-        v = np.array(vals, dtype=_U64)
-        c = np.array(codes, dtype=np.int64)
-        order = np.argsort(v)
-        by_len[length] = (v[order], c[order])
-    return by_len
+def _table_arrays(table: list[bytes]) -> tuple[bytes, bytes]:
+    """(symbols zero-padded to 8 bytes each, symbol lengths): the table
+    layout of ``fsst_encode``/``fsst_decode`` in ``kernels.c``."""
+    if len(table) > MAX_SYMS or not all(1 <= len(s) <= 8 for s in table):
+        raise CodecError("fsst table must hold at most 255 symbols of 1-8 bytes")
+    return b"".join(bytes(s).ljust(8, b"\0") for s in table), bytes(len(s) for s in table)
 
 
 def fsst_encode_codes(data: np.ndarray, table: list[bytes]) -> tuple[np.ndarray, np.ndarray]:
-    """Greedy longest-match encode → (code stream uint8, literal bytes uint8)."""
+    """Greedy longest-match encode → (code stream uint8, literal bytes uint8).
+    The loop is ``fsst_encode`` in ``kernels.c``; its comment gives the rule."""
+    data = np.ascontiguousarray(data, dtype=np.uint8)
     n = int(data.size)
+    syms, lens = _table_arrays(table)
     if n == 0:
         return np.zeros(0, dtype=np.uint8), np.zeros(0, dtype=np.uint8)
-    best_code = np.full(n, -1, dtype=np.int64)
-    best_len = np.ones(n, dtype=np.int64)
-    for length, (vals, codes) in _build_matchers(table).items():
-        g = _grams(data, length)
-        pos = np.searchsorted(vals, g)
-        pos = np.minimum(pos, len(vals) - 1)
-        hit = vals[pos] == g
-        upd = hit & (best_code[: g.size] < 0)
-        best_code[: g.size][upd] = codes[pos[upd]]
-        best_len[: g.size][upd] = length
-    # greedy scan with jumps; iterations ≈ emitted tokens (plain-int loop)
-    bc = best_code.tolist()
-    bl = best_len.tolist()
-    dl = data.tolist()
-    out = bytearray()
-    lit = bytearray()
-    i = 0
-    while i < n:
-        c = bc[i]
-        if c >= 0:
-            out.append(c)
-            i += bl[i]
-        else:
-            out.append(ESCAPE)
-            lit.append(dl[i])
-            i += 1
-    return np.frombuffer(bytes(out), dtype=np.uint8), np.frombuffer(bytes(lit), dtype=np.uint8)
+    codes = np.empty(n, dtype=np.uint8)
+    lits = np.empty(n, dtype=np.uint8)
+    nlit = ffi.new("int64_t *")
+    nc = lib.fsst_encode(
+        ffi.from_buffer("uint8_t[]", data), n, ffi.from_buffer("uint8_t[]", syms),
+        ffi.from_buffer("uint8_t[]", lens), len(table), ffi.from_buffer("uint8_t[]", codes),
+        ffi.from_buffer("uint8_t[]", lits), nlit,
+    )
+    return codes[:nc], lits[: nlit[0]]
 
 
 def fsst_decode_codes(codes: np.ndarray, lits: np.ndarray, table: list[bytes]) -> bytes:
-    """Vectorized decode: scatter symbol bytes by cumulative offsets."""
-    ncodes = int(codes.size)
-    if ncodes == 0:
-        return b""
-    sym_len = np.ones(256, dtype=np.int64)
-    sym_bytes = np.zeros((256, 8), dtype=np.uint8)
-    for code, sym in enumerate(table):
-        sym_len[code] = len(sym)
-        sym_bytes[code, : len(sym)] = np.frombuffer(sym, dtype=np.uint8)
-    lens = sym_len[codes]
-    is_esc = codes == ESCAPE
-    offs = np.concatenate(([0], np.cumsum(lens)))
-    total = int(offs[-1])
-    out = np.empty(total, dtype=np.uint8)
-    # escapes: one literal byte each, in stream order
-    if is_esc.any():
-        out[offs[:-1][is_esc]] = lits[: int(is_esc.sum())]
-    reg = ~is_esc
-    if reg.any():
-        rcodes = codes[reg]
-        roffs = offs[:-1][reg]
-        rlens = lens[reg]
-        for j in range(8):
-            m = rlens > j
-            if not m.any():
-                break
-            out[roffs[m] + j] = sym_bytes[rcodes[m], j]
-    return out.tobytes()
+    """Expand a code stream and its literals through the table; raises
+    CodecError on a code past the table or escapes that do not take
+    exactly the literals given."""
+    codes = np.ascontiguousarray(codes, dtype=np.uint8)
+    lits = np.ascontiguousarray(lits, dtype=np.uint8)
+    syms, lens = _table_arrays(table)
+    args = (
+        ffi.from_buffer("uint8_t[]", codes), codes.size, ffi.from_buffer("uint8_t[]", lits),
+        lits.size, ffi.from_buffer("uint8_t[]", syms), ffi.from_buffer("uint8_t[]", lens),
+        len(table),
+    )
+    total = lib.fsst_decode(*args, ffi.NULL)
+    if total == -1:
+        raise CodecError("fsst code past the end of the symbol table")
+    if total < 0:
+        raise CodecError("fsst escapes do not match the literal stream")
+    out = np.empty(total + 8, dtype=np.uint8)
+    lib.fsst_decode(*args, ffi.from_buffer("uint8_t[]", out))
+    return out[:total].tobytes()
 
 
 def _best_bytes_blob(data: bytes) -> bytes:
@@ -205,6 +179,8 @@ def _decode_fsst(meta: dict, payload: memoryview) -> bytes:
     from .base import decode_blob
 
     nsym, pos = read_uvarint(payload, 0)
+    if nsym > MAX_SYMS:
+        raise CodecError("fsst symbol table too large")
     table: list[bytes] = []
     for _ in range(nsym):
         slen, pos = read_uvarint(payload, pos)

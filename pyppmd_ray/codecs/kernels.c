@@ -1,9 +1,9 @@
 /* Compiled kernels of the codecs: the interleaved order-0 rANS coder
    (rans.py), the order-1 rANS coder (rans_ctx.py), the LSB-first bit packer
-   (numeric.py, lz.py) and the LZ greedy parse and sequence expansion
-   (lz.py). native.py builds this file once per source hash and loads it with
-   cffi; the Python wrappers own allocation and turn a negative return into
-   CodecError.
+   (numeric.py, lz.py), the LZ greedy parse and sequence expansion (lz.py)
+   and the FSST greedy longest-match encode and decode (fsst.py). native.py
+   builds this file once per source hash and loads it with cffi; the Python
+   wrappers own allocation and turn a negative return into CodecError.
 
    rANS layout: symbol i goes to lane i % N at step i / N. The decoder runs
    i = 0..n-1 and refills from one shared little-endian u16 stream; the
@@ -398,4 +398,103 @@ int lz_expand(const int64_t *ll, const int64_t *ml, const int64_t *of,
     if (n - o != nlit - lp) return -2;
     memcpy(out + o, lits + lp, n - o);
     return 0;
+}
+
+/* ---------------------------------------------------------------- FSST */
+
+#define FSST_ESCAPE 255
+
+/* A table holds nsym <= 255 symbols; symbol s is lens[s] (1..8) bytes,
+   stored zero-padded in syms[8s..8s+8). Code 255 is the escape. */
+
+INLINE uint64_t sym_mask(int len)
+{
+    return len >= 8 ? ~(uint64_t)0 : ((uint64_t)1 << (8 * len)) - 1;
+}
+
+/* Greedy longest-match encode of d[0..n): at each position emit the code
+   of the longest symbol that matches there and step over it, or the
+   escape, with the byte going to the literal stream. Of equal symbols the
+   lowest code wins. Symbols of two or more bytes are bucketed by their
+   first two bytes, longest first; one-byte symbols have a byte table.
+   codes and lits need room for n bytes each. Returns the number of codes
+   and sets *nlit. */
+int64_t fsst_encode(const uint8_t *d, int64_t n, const uint8_t *syms,
+                    const uint8_t *lens, int64_t nsym, uint8_t *codes,
+                    uint8_t *lits, int64_t *nlit)
+{
+    int one[256];
+    uint32_t key[255];   /* prefix << 16 | (8 - len) << 8 | code, sorted */
+    uint64_t val[255];
+    uint8_t first[65536]; /* 1 + index of the bucket's first entry, 0: none */
+    int64_t nm = 0;
+    for (int b = 0; b < 256; b++) one[b] = -1;
+    for (int64_t s = nsym - 1; s >= 0; s--)
+        if (lens[s] == 1) one[syms[8 * s]] = (int)s;
+    for (int64_t s = 0; s < nsym; s++) {
+        if (lens[s] < 2) continue;
+        uint32_t k = (uint32_t)(syms[8 * s] | syms[8 * s + 1] << 8) << 16
+                     | (uint32_t)(8 - lens[s]) << 8 | (uint32_t)s;
+        int64_t j = nm++;
+        for (; j > 0 && key[j - 1] > k; j--) key[j] = key[j - 1];
+        key[j] = k;
+    }
+    memset(first, 0, sizeof first);
+    for (int64_t j = nm - 1; j >= 0; j--) {
+        val[j] = load_le64(syms + 8 * (key[j] & 0xFF), 8);
+        first[key[j] >> 16] = (uint8_t)(j + 1);
+    }
+    int64_t i = 0, nc = 0, nl = 0;
+    while (i < n) {
+        int64_t avail = n - i;
+        uint64_t w = load_le64(d + i, avail);
+        int code = -1, len = 1;
+        if (avail >= 2) {
+            uint32_t pre = (uint32_t)(w & 0xFFFF);
+            for (int64_t j = (int64_t)first[pre] - 1; j >= 0 && j < nm && key[j] >> 16 == pre; j++) {
+                int L = 8 - (int)(key[j] >> 8 & 0xFF);
+                if (L <= avail && !((w ^ val[j]) & sym_mask(L))) {
+                    code = (int)(key[j] & 0xFF);
+                    len = L;
+                    break;
+                }
+            }
+        }
+        if (code < 0) code = one[d[i]];
+        if (code >= 0) {
+            codes[nc++] = (uint8_t)code;
+            i += len;
+        } else {
+            codes[nc++] = FSST_ESCAPE;
+            lits[nl++] = d[i++];
+        }
+    }
+    *nlit = nl;
+    return nc;
+}
+
+/* Expand ncodes codes through the table, each escape taking the next
+   literal. With out == NULL only checks and measures; otherwise out needs
+   room for the decoded length plus 8 bytes. Returns the decoded length,
+   -1 if a code is neither the escape nor below nsym, -2 if the escapes
+   do not take exactly nlit literals. */
+int64_t fsst_decode(const uint8_t *codes, int64_t ncodes, const uint8_t *lits,
+                    int64_t nlit, const uint8_t *syms, const uint8_t *lens,
+                    int64_t nsym, uint8_t *out)
+{
+    int64_t o = 0, lp = 0;
+    for (int64_t k = 0; k < ncodes; k++) {
+        uint8_t c = codes[k];
+        if (c == FSST_ESCAPE) {
+            if (lp >= nlit) return -2;
+            if (out) out[o] = lits[lp];
+            lp++;
+            o++;
+        } else {
+            if (c >= nsym) return -1;
+            if (out) memcpy(out + o, syms + 8 * c, 8);
+            o += lens[c];
+        }
+    }
+    return lp == nlit ? o : -2;
 }

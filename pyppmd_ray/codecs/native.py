@@ -1,5 +1,6 @@
 """Build-once loader for the compiled kernels in ``kernels.c``: the order-0
-and order-1 rANS coders, the bit packer, and the LZ parse and expand loops.
+and order-1 rANS coders, the bit packer, the LZ parse and expand loops, and
+the FSST greedy longest-match encode and decode.
 
 On first import the C source is compiled with the system C compiler
 (``$CC``, default ``cc``) into a shared library cached under
@@ -60,6 +61,12 @@ ffi.cdef(
     int lz_expand(const int64_t *ll, const int64_t *ml, const int64_t *of,
                   int64_t S, const uint8_t *lits, int64_t nlit, uint8_t *out,
                   int64_t n);
+    int64_t fsst_encode(const uint8_t *d, int64_t n, const uint8_t *syms,
+                        const uint8_t *lens, int64_t nsym, uint8_t *codes,
+                        uint8_t *lits, int64_t *nlit);
+    int64_t fsst_decode(const uint8_t *codes, int64_t ncodes, const uint8_t *lits,
+                        int64_t nlit, const uint8_t *syms, const uint8_t *lens,
+                        int64_t nsym, uint8_t *out);
     """
 )
 

@@ -12,9 +12,21 @@ from __future__ import annotations
 import numpy as np
 import pyarrow as pa
 
-from .strings import BYTE_CODECS, StrCol, dict_encode_strcol, filled_strcol
+from .strings import (
+    BYTE_CODECS,
+    StrCol,
+    dict_encode_strcol,
+    filled_strcol,
+    strcol_from_arrow,
+    strcol_to_arrow,
+)
 
 SAMPLE_BYTES = 32 << 10
+
+
+def _take_rows(col: StrCol, rows: np.ndarray) -> StrCol:
+    """The given rows of a column, gathered by Arrow's C take kernel."""
+    return strcol_from_arrow(strcol_to_arrow(col).take(pa.array(rows, type=pa.int64())))
 
 
 def _sample_strcol(col: StrCol, max_bytes: int = SAMPLE_BYTES) -> bytes:
@@ -25,9 +37,7 @@ def _sample_strcol(col: StrCol, max_bytes: int = SAMPLE_BYTES) -> bytes:
     if total <= max_bytes or n <= 4:
         return data
     stride = max(1, int(np.ceil(total / max_bytes)))
-    rows = np.arange(0, n, stride)
-    parts = [data[offsets[r] : offsets[r + 1]] for r in rows.tolist()]
-    s = b"".join(parts)
+    s = _take_rows(col, np.arange(0, n, stride))[1]
     return s[:max_bytes] if len(s) > max_bytes else s
 
 
@@ -78,37 +88,42 @@ def plan_strcol(col: StrCol) -> dict:
     """``{"layout", "data_codec"}`` for one string column — the engine's
     only string codec chooser: ``plan_table`` calls it for top-level
     columns, the column encoder for any string column whose hints lack a
-    key (nested children, fixed-size binary, partial hints)."""
-    offsets, data = col
+    key (nested children, fixed-size binary, partial hints).
+
+    The layout comes from the distinct ratio of a row sample. The data
+    codec is chosen on the bytes that layout encodes: under ``sdict``
+    that is the block's distinct values, not the column."""
+    offsets, _ = col
     n = int(offsets.size) - 1
-    hints: dict = {}
+    layout = "strs"
     if n >= 8:
         # distinct ratio on a row sample (stride, deterministic)
-        stride = max(1, n // 2048)
-        rows = np.arange(0, n, stride)
-        lens = np.diff(offsets)
-        sub_off = np.concatenate(([0], np.cumsum(lens[rows]))).astype(np.int64)
-        sub_data = b"".join(data[offsets[r] : offsets[r + 1]] for r in rows.tolist())
-        codes, (voff, _) = dict_encode_strcol((sub_off, sub_data))
-        distinct_ratio = (voff.size - 1) / max(1, rows.size)
-        hints["layout"] = "sdict" if distinct_ratio <= 0.5 else "strs"
-    else:
-        hints["layout"] = "strs"
-    avg_len = int(offsets[-1]) / max(1, n)
+        rows = np.arange(0, n, max(1, n // 2048))
+        _, (voff, _) = dict_encode_strcol(_take_rows(col, rows))
+        if (voff.size - 1) / max(1, rows.size) <= 0.5:
+            layout = "sdict"
+    if layout == "sdict":
+        _, col = dict_encode_strcol(col)  # the values encode_sdict encodes
+    return {"layout": layout, "data_codec": _pick_data_codec(col)}
+
+
+def _pick_data_codec(col: StrCol) -> str:
+    """The byte codec for the data bytes of ``col``."""
+    offsets, data = col
     total = int(offsets[-1])
+    if total < 64:  # encode_strings stores data this small raw
+        return "raw"
     # line-dictionary pre-check on the FULL column (cheap C kernel):
     # dictionary gains grow with block size, so no sample can reveal them —
     # measure the real distinct-line ratio instead of extrapolating
     if total > 512 << 10 and _line_dict_wins(data):
-        hints["data_codec"] = "lined"
-        return hints
+        return "lined"
     # larger sample for big columns: dictionary-style codecs need enough
     # rows in the sample to reveal cross-row repeats
     sample_bytes = SAMPLE_BYTES if total < 1 << 20 else 4 * SAMPLE_BYTES
-    hints["data_codec"] = pick_byte_codec(
-        _sample_strcol(col, max_bytes=sample_bytes), avg_len=avg_len
+    return pick_byte_codec(
+        _sample_strcol(col, max_bytes=sample_bytes), avg_len=total / max(1, offsets.size - 1)
     )
-    return hints
 
 
 def _line_dict_wins(data: bytes, max_distinct_ratio: float = 0.35) -> bool:

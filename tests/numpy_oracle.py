@@ -2,21 +2,23 @@
 ``pyppmd_ray/codecs/kernels.c``: the interleaved rANS coder
 (``rans_encode``/``rans_decode``), the order-1 coder
 (``rans1_encode``/``rans1_decode``), the LSB-first bit packers
-(``pack_uints``/``unpack_uints``, ``pack_varbits``/``unpack_varbits``) and
-the LZ greedy parse and sequence expansion (``lz_parse``/``lz_expand``).
+(``pack_uints``/``unpack_uints``, ``pack_varbits``/``unpack_varbits``),
+the LZ greedy parse and sequence expansion (``lz_parse``/``lz_expand``),
+and the FSST greedy longest-match encode and decode
+(``fsst_encode_codes``/``fsst_decode_codes``).
 
 These are the versions the package ran before those loops were compiled.
 They are kept here only as wire-identity oracles: the tests assert that the
 compiled kernels produce the same stream bytes, final states, lane counts,
-packed bytes, sequences and output. Not collected by pytest (no ``test_``
-prefix); import it as ``numpy_oracle`` from a test module.
+packed bytes, sequences, code streams and output. Not collected by pytest
+(no ``test_`` prefix); import it as ``numpy_oracle`` from a test module.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from pyppmd_ray.codecs import lz
+from pyppmd_ray.codecs import fsst, lz
 from pyppmd_ray.codecs.base import CodecError
 from pyppmd_ray.codecs.rans import M, PROB_BITS, RANS_L, _RENORM, _lane_count
 from pyppmd_ray.codecs.rans_ctx import N_CLASSES
@@ -450,4 +452,88 @@ def lz_expand(ll: np.ndarray, ml: np.ndarray, of: np.ndarray, lits: np.ndarray, 
             out[o : o + mlv] = np.tile(pattern, reps)[:mlv]
         o += mlv
     out[o:] = lits[lp : lp + n - o]
+    return out.tobytes()
+
+
+# -------------------------------------------------------------------- FSST
+
+def _build_matchers(table: list[bytes]):
+    """Per-length sorted (gram-value, code) arrays for vectorized lookup."""
+    by_len: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+    for length in sorted({len(s) for s in table}, reverse=True):
+        vals, codes = [], []
+        for code, sym in enumerate(table):
+            if len(sym) == length:
+                vals.append(int.from_bytes(sym.ljust(8, b"\0"), "little"))
+                codes.append(code)
+        v = np.array(vals, dtype=_U64)
+        c = np.array(codes, dtype=np.int64)
+        order = np.argsort(v)
+        by_len[length] = (v[order], c[order])
+    return by_len
+
+
+def fsst_encode_codes(data: np.ndarray, table: list[bytes]) -> tuple[np.ndarray, np.ndarray]:
+    """Greedy longest-match encode → (code stream uint8, literal bytes uint8)."""
+    n = int(data.size)
+    if n == 0:
+        return np.zeros(0, dtype=np.uint8), np.zeros(0, dtype=np.uint8)
+    best_code = np.full(n, -1, dtype=np.int64)
+    best_len = np.ones(n, dtype=np.int64)
+    for length, (vals, codes) in _build_matchers(table).items():
+        g = fsst._grams(data, length)
+        pos = np.searchsorted(vals, g)
+        pos = np.minimum(pos, len(vals) - 1)
+        hit = vals[pos] == g
+        upd = hit & (best_code[: g.size] < 0)
+        best_code[: g.size][upd] = codes[pos[upd]]
+        best_len[: g.size][upd] = length
+    # greedy scan with jumps; iterations ≈ emitted tokens (plain-int loop)
+    bc = best_code.tolist()
+    bl = best_len.tolist()
+    dl = data.tolist()
+    out = bytearray()
+    lit = bytearray()
+    i = 0
+    while i < n:
+        c = bc[i]
+        if c >= 0:
+            out.append(c)
+            i += bl[i]
+        else:
+            out.append(fsst.ESCAPE)
+            lit.append(dl[i])
+            i += 1
+    return np.frombuffer(bytes(out), dtype=np.uint8), np.frombuffer(bytes(lit), dtype=np.uint8)
+
+
+def fsst_decode_codes(codes: np.ndarray, lits: np.ndarray, table: list[bytes]) -> bytes:
+    """Vectorized decode of a valid stream: scatter symbol bytes by
+    cumulative offsets."""
+    ncodes = int(codes.size)
+    if ncodes == 0:
+        return b""
+    sym_len = np.ones(256, dtype=np.int64)
+    sym_bytes = np.zeros((256, 8), dtype=np.uint8)
+    for code, sym in enumerate(table):
+        sym_len[code] = len(sym)
+        sym_bytes[code, : len(sym)] = np.frombuffer(sym, dtype=np.uint8)
+    lens = sym_len[codes]
+    is_esc = codes == fsst.ESCAPE
+    offs = np.concatenate(([0], np.cumsum(lens)))
+    total = int(offs[-1])
+    out = np.empty(total, dtype=np.uint8)
+    # escapes: one literal byte each, in stream order
+    if is_esc.any():
+        out[offs[:-1][is_esc]] = lits[: int(is_esc.sum())]
+    reg = ~is_esc
+    if reg.any():
+        rcodes = codes[reg]
+        roffs = offs[:-1][reg]
+        rlens = lens[reg]
+        for j in range(8):
+            m = rlens > j
+            if not m.any():
+                break
+            out[roffs[m] + j] = sym_bytes[rcodes[m], j]
     return out.tobytes()

@@ -279,6 +279,32 @@ class TestOneStringPlanner:
         assert blob == encode_column(arr, hints=plan_strcol(col))
         assert decode_blob(blob).equals(arr)
 
+    def test_small_sdict_dictionary_plans_raw_without_trial(self, monkeypatch):
+        """Under ``sdict`` the data codec encodes only the distinct values;
+        under 64 bytes they are stored raw, so no trial may run."""
+        from pyppmd_ray.codecs import select
+
+        def no_trial(*args, **kwargs):
+            raise AssertionError("trial encode for a dictionary under 64 bytes")
+
+        monkeypatch.setattr(select, "pick_byte_codec", no_trial)
+        flags = pa.array(["A", "N", "R"] * 20_000)
+        assert select.plan_strcol(strcol_from_arrow(flags)) == {
+            "layout": "sdict", "data_codec": "raw"
+        }
+
+    def test_sdict_codec_chosen_on_distinct_values(self):
+        """A hint-less ``list<str>`` of F1 lines: choosing the codec on a
+        sample of the whole column gave 246,618 bytes (wtok); chosen on
+        the distinct lines it is smaller."""
+        from pyppmd_ray.fixtures import generate_source_table
+
+        contents = generate_source_table(900, seed=11)["content"].to_pylist()
+        lines = pa.array([c.split("\n") for c in contents], type=pa.list_(pa.string()))
+        blob = encode_column(lines)
+        assert len(blob) < 246_618
+        assert decode_blob(blob).equals(lines)
+
     def test_partial_hint_takes_planned_codec(self, paths):
         from pyppmd_ray.codecs.select import plan_strcol
 

@@ -58,15 +58,18 @@ def test_byte_codec_golden_shape():
 
 # sha256 of whole blobs on fixed F1 text (the ``content`` rows of
 # generate_source_table(300, seed=11), newline-joined), recorded before the
-# LZ parse/expand loops and the rans1 coder were compiled: the compiled
-# kernels must reproduce the numpy/Python ones byte for byte
+# LZ parse/expand loops, the rans1 coder and the FSST encode and decode were
+# compiled: the compiled kernels must reproduce the numpy/Python ones byte
+# for byte
 FULL_BLOB_SHA256 = {
+    "fsst": (60_000, "7e74e1f8d519f019f455d47af94af342885659e7b3eb3e7e2fddb7332d5d0740"),
     "lz_stride1": (60_000, "b76425e1d496ee0b147ca32d2ea91abefba0a05b81dbcf19518960066cf48c3f"),
     "lz_stride2": (60_000, "b5e38fe0bb6bdde1a3bfbb7df064336d3a4439c2f17b1d2545579cf900ff7a7e"),
     "rans1": (60_000, "d71be67978ba29875e1744ac94ab12742187cba47dc3a163f72e45d284758cf8"),
     "lined": (400_000, "6723565901b7e43b40b07bab341821f4f4b7c75f3150e9b086797faadaf7520a"),
 }
 _ENCODERS = {
+    "fsst": encode_fsst,
     "lz_stride1": encode_lz,
     "lz_stride2": lambda d: encode_lz(d, stride=2),
     "rans1": encode_rans1,
@@ -89,12 +92,14 @@ def test_full_blob_pins(case, f1_text):
 
 
 # sha256 of the concatenated block payloads of encode_batches(tbl), each
-# batch planned by the selector, recorded before string columns without
-# hints were routed through plan_strcol: planned encodes must not move
+# batch planned by the selector: planned encodes must not move. Recorded
+# when the sdict data codec came to be chosen on the block's distinct
+# values (source, documents and events moved; lineitem did not, its
+# dictionaries are under 64 bytes and stored raw either way)
 PAYLOAD_SHA256 = {
-    "source": "63948285a6e08341675640d2b5aa33faefa0227f67c7556fef644359f788a641",
-    "documents": "d2783863158467ca5e4e724949a6a4bea84f480597aeb265510990b658e06c21",
-    "events": "6708dc2d1291267b0cd9e60a02e8e629b3008408ff08fef589ac3940d79a0a8f",
+    "source": "832a078ddf2eb5ccca5292e23aed0f21bc5ccd69b49007f33bb13505a88baf22",
+    "documents": "67d326911aa7d62537d2b00190139bc714397589e17cce90797fe2baaeb0b34b",
+    "events": "273a8900ec6644696eb59d39fa4202bfec418997fdff820889da52c7f937bb84",
     "lineitem": "5a99d1fa514800c29fef1412f466201c80db29ad875095973d9895b7039c037d",
 }
 SF_DIR = "/root/testdata/sf0.001"

@@ -19,6 +19,7 @@ from hypothesis import given, settings, strategies as st
 import numpy_oracle as oracle
 from pyppmd_ray.codecs import CodecError, decode_blob, encode_lz, encode_rans0, unpack_blob
 from pyppmd_ray.codecs.base import pack_blob, read_uvarint
+from pyppmd_ray.codecs.fsst import encode_fsst, fsst_decode_codes, fsst_encode_codes, train_table
 from pyppmd_ray.codecs.lz import lz_parse
 from pyppmd_ray.codecs.numeric import pack_uints, pack_varbits, unpack_uints, unpack_varbits
 from pyppmd_ray.codecs.rans import cap_full_freq, normalize_freqs, rans_decode, rans_encode
@@ -444,6 +445,64 @@ def test_bit_flips_in_rans1_blobs_are_caught(size):
         blob, data, [(len(blob) - len(payload), len(blob))], seed=size
     )
     assert silent <= FLIPS // 50, (raised, same, silent)
+
+
+# ------------------------------------------------------------------ FSST
+
+@st.composite
+def fsst_cases(draw):
+    """(data, table): short inputs (under one 8-byte load), F1 text, ids,
+    random bytes and runs, with a trained table or one of 1-8-byte
+    symbols cut from the data plus random ones (distinct, at most 255)."""
+    kind = draw(st.sampled_from(["short", "text", "ids", "random", "runs"]))
+    if kind == "short":
+        data = draw(st.binary(max_size=7))
+    else:
+        data = _sample(kind, draw(st.integers(0, 20_000)), draw(st.integers(0, 2**32 - 1)))
+    if data and draw(st.booleans()):
+        return data, train_table(data)
+    cuts = draw(st.lists(st.tuples(st.integers(0, 1 << 20), st.integers(1, 8)), max_size=255))
+    src = data or b"fsst"
+    syms = [src[p % len(src) : p % len(src) + k] for p, k in cuts]
+    syms += draw(st.lists(st.binary(min_size=1, max_size=8), max_size=16))
+    return data, list(dict.fromkeys(syms))[:255]
+
+
+@settings(max_examples=60, deadline=None)
+@given(fsst_cases())
+def test_fsst_matches_oracle(case):
+    data, table = case
+    arr = np.frombuffer(data, dtype=np.uint8)
+    codes, lits = fsst_encode_codes(arr, table)
+    o_codes, o_lits = oracle.fsst_encode_codes(arr, table)
+    assert codes.tobytes() == o_codes.tobytes() and lits.tobytes() == o_lits.tobytes()
+    assert fsst_decode_codes(codes, lits, table) == data
+    assert oracle.fsst_decode_codes(codes, lits, table) == data
+
+
+@pytest.mark.parametrize(
+    "codes,lits",
+    [
+        ([0, 7, 1], b""),  # code 7 is past the 2-symbol table, not the escape
+        ([0, 255], b"xy"),  # a literal no escape takes
+        ([255, 255], b"x"),  # two escapes over one literal
+    ],
+)
+def test_fsst_decode_rejects_malformed_streams(codes, lits):
+    with pytest.raises(CodecError):
+        fsst_decode_codes(
+            np.array(codes, dtype=np.uint8), np.frombuffer(lits, dtype=np.uint8), [b"ab", b"cd"]
+        )
+
+
+@pytest.mark.parametrize(
+    "table", [[b""], [b"123456789"], [bytes([i, j]) for i in range(16) for j in range(16)]]
+)
+def test_fsst_rejects_bad_tables(table):
+    """Symbols are 1-8 bytes and a table has at most 255, since code 255
+    is the escape; any other table is a CodecError."""
+    with pytest.raises(CodecError):
+        encode_fsst(b"0123456789" * 10, table=table)
 
 
 # ------------------------------------------------------------ the build
