@@ -31,7 +31,7 @@ from .base import CodecError, pack_blob, register, read_uvarint, write_uvarint
 from .native import ffi, lib
 from .rans import encode_rans0
 
-ESCAPE = 255
+ESCAPE = 255  # kernels.c hard-codes the same (FSST_ESCAPE)
 MAX_SYMS = 255
 _U64 = np.uint64
 
