@@ -1,6 +1,7 @@
 /* Compiled kernels of the codecs: the interleaved order-0 rANS coder
-   (rans.py), the order-1 rANS coder (rans_ctx.py), the LSB-first bit packer
-   (numeric.py, lz.py), the LZ greedy parse and sequence expansion (lz.py)
+   (rans.py), the order-1 rANS coder (rans_ctx.py), the byte and bigram
+   histogram behind both rANS models, the LSB-first bit packer (numeric.py,
+   lz.py), the LZ match finder, greedy parse and sequence expansion (lz.py)
    and the FSST greedy longest-match encode and decode (fsst.py). native.py
    builds this file once per source hash and loads it with cffi; the Python
    wrappers own allocation and turn a negative return into CodecError.
@@ -198,6 +199,24 @@ done:
     return rc;
 }
 
+/* Byte histogram of d[0..n) for the rANS models (rans.py, rans_ctx.py):
+   c1[b] counts byte value b; with c2 given, c2[a << 8 | b] counts the
+   positions i >= 1 with d[i-1] == a and d[i] == b, and c1 is summed from
+   it. Both are overwritten. */
+void byte_hist(const uint8_t *d, int64_t n, int64_t *c1, int64_t *c2)
+{
+    memset(c1, 0, 256 * sizeof *c1);
+    if (!c2) {
+        for (int64_t i = 0; i < n; i++) c1[d[i]]++;
+        return;
+    }
+    memset(c2, 0, 65536 * sizeof *c2);
+    for (int64_t i = 1; i < n; i++) c2[d[i - 1] << 8 | d[i]]++;
+    if (n) c1[d[0]]++;
+    for (int a = 0; a < 256; a++)
+        for (int b = 0; b < 256; b++) c1[b] += c2[a << 8 | b];
+}
+
 /* LSB-first bit packing: value i takes the next widths[i] bits (or `width`
    bits each when widths is NULL), bit j of byte k being bit 8k+j of the
    stream; bits of a value at or above its width are dropped. The loops are
@@ -283,8 +302,84 @@ int unpack_bits(const uint8_t *buf, int64_t nbytes, int64_t n,
 /* ------------------------------------------------------------------ LZ */
 
 #define MIN_MATCH 5
+#define POS_BITS 24  /* lz.py cuts inputs into segments of fewer positions */
+#define POS_MASK ((1ull << POS_BITS) - 1)
+#define SLOT_EMPTY UINT64_MAX
 
 static int bitlen(uint64_t v) { return 64 - __builtin_clzll(v); }
+
+/* The 40-bit 6-gram and 16-gram hashes of the 8-byte packs at i and i + 8. */
+INLINE uint64_t hash6(uint64_t g)
+{
+    return ((g & 0xFFFFFFFFFFFFull) * 0x9E3779B97F4A7C15ull) >> 24;
+}
+
+INLINE uint64_t hash16(uint64_t g, uint64_t g_next)
+{
+    return ((g * 0x9E3779B97F4A7C15ull) ^ (g_next * 0xC2B2AE3D27D4EB4Full)) >> 24;
+}
+
+/* Open-addressing table of cap slots, each hash << 24 | latest position or
+   SLOT_EMPTY, keyed by the full 40-bit hash, probed linearly from the
+   hash's share of cap. */
+INLINE uint64_t *slot_of(uint64_t *tab, uint64_t cap, uint64_t h)
+{
+    return tab + (((h >> 8) * cap) >> 32);
+}
+
+#define BATCH 32
+
+/* Positions i0, i0 + stride, ... with hashes h[0..nb): out[i] gets the
+   position stored under the same hash before (-1: none) and i replaces
+   it. The slots are prefetched first, so their cache misses overlap. */
+INLINE void swap_latest(uint64_t *tab, uint64_t cap, const uint64_t *h, int64_t nb,
+                        int64_t i0, int64_t stride, int32_t *out)
+{
+    for (int64_t b = 0; b < nb; b++) __builtin_prefetch(slot_of(tab, cap, h[b]), 1);
+    for (int64_t b = 0; b < nb; b++) {
+        uint64_t *e = slot_of(tab, cap, h[b]);
+        int64_t i = i0 + b * stride;
+        while (*e != SLOT_EMPTY && *e >> POS_BITS != h[b])
+            if (++e == tab + cap) e = tab;
+        out[i] = *e == SLOT_EMPTY ? -1 : (int32_t)(*e & POS_MASK);
+        *e = h[b] << POS_BITS | (uint64_t)i;
+    }
+}
+
+/* Match candidates of d[0..n), n < 2^24, for lz_parse: g8 gets the
+   n6 = max(n - 7, 0) little-endian 8-byte packs, c6 (n6 entries) and c16
+   (n16 = max(n6 - 8, 0) entries) the nearest earlier stride-aligned
+   position with the same 40-bit 6-gram / 16-gram hash, -1 for none and at
+   every position that is not a multiple of stride. The two tables are
+   built one after the other in one allocation of 2m + 1 slots, m the
+   number of aligned positions: 8 bytes per position per table, a load of
+   at most one half. Returns 0, or -4 if out of memory. */
+int lz_candidates(const uint8_t *d, int64_t n, int64_t stride, uint64_t *g8,
+                  int32_t *c6, int32_t *c16)
+{
+    int64_t n6 = n > 7 ? n - 7 : 0, n16 = n6 > 8 ? n6 - 8 : 0;
+    uint64_t cap = 2 * (uint64_t)((n6 + stride - 1) / stride) + 1, h[BATCH];
+    uint64_t *tab = malloc(cap * sizeof *tab);
+    if (!tab) return -4;
+    for (int64_t i = 0; i < n6; i++) g8[i] = load_le64(d + i, 8);
+    memset(tab, 0xFF, cap * sizeof *tab);
+    for (int64_t i = 0; i < n6; i++) c6[i] = -1;
+    for (int64_t i0 = 0; i0 < n6; i0 += BATCH * stride) {
+        int64_t nb = 0;
+        for (int64_t i = i0; i < n6 && nb < BATCH; i += stride) h[nb++] = hash6(g8[i]);
+        swap_latest(tab, cap, h, nb, i0, stride, c6);
+    }
+    memset(tab, 0xFF, cap * sizeof *tab);
+    for (int64_t i = 0; i < n16; i++) c16[i] = -1;
+    for (int64_t i0 = 0; i0 < n16; i0 += BATCH * stride) {
+        int64_t nb = 0;
+        for (int64_t i = i0; i < n16 && nb < BATCH; i += stride)
+            h[nb++] = hash16(g8[i], g8[i + 8]);
+        swap_latest(tab, cap, h, nb, i0, stride, c16);
+    }
+    free(tab);
+    return 0;
+}
 
 /* Length of the common prefix of d[j..n) and d[c..n), c < j, given that
    the first L bytes are known to match. */

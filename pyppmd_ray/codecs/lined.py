@@ -53,19 +53,35 @@ def _best_inner(data: bytes, allow_lz: bool = True) -> bytes:
     return best_entropy_blob(data)
 
 
+def line_offsets(arr: np.ndarray) -> tuple[np.ndarray, int]:
+    """(offsets, newlines) of the uint8 ``arr``: the int64 start of every
+    line followed by ``arr.size``, and the number of newline bytes. A line
+    ends after each newline; bytes after the last newline form one more
+    line. One scan; the offsets come out sorted and distinct."""
+    nl = np.flatnonzero(arr == 10)
+    n = int(arr.size)
+    tail = n > (int(nl[-1]) + 1 if nl.size else 0)  # bytes after the last newline
+    offs = np.empty(nl.size + 1 + tail, dtype=np.int64)
+    offs[0] = 0
+    offs[1 : nl.size + 1] = nl + 1
+    if tail:
+        offs[-1] = n
+    return offs, int(nl.size)
+
+
 def encode_lined(data: bytes | memoryview | np.ndarray) -> bytes:
     arr = np.frombuffer(data, dtype=np.uint8) if not isinstance(data, np.ndarray) else data
     arr = np.ascontiguousarray(arr, dtype=np.uint8)
     n = int(arr.size)
     raw = arr.tobytes()
-    if n < 4096 or not (arr == 10).any():
+    offs = line_offsets(arr)[0] if n >= 4096 else np.zeros(1, dtype=np.int64)
+    n_lines = int(offs.size) - 1
+    if n_lines < 2:
+        # small, or one line, which would be its own dictionary
         return pack_blob("lined", {"n": n, "m": 0}, _best_inner(raw))
 
     import pyarrow as pa
 
-    nl = np.flatnonzero(arr == 10)
-    offs = np.unique(np.concatenate(([0], nl + 1, [n]))).astype(np.int64)
-    n_lines = int(offs.size) - 1
     lines = pa.Array.from_buffers(
         pa.large_binary(), n_lines, [None, pa.py_buffer(offs.tobytes()), pa.py_buffer(raw)]
     )

@@ -9,9 +9,11 @@ entropy-codes the token streams with the static rANS stage.
 
 Design (public knowledge: LZ77; zstd's sequence/stream architecture as
 described in RFC 8878 — format here is the engine's own):
-- match finding (numpy): 6-gram and 16-gram hash tables built from one
-  8-gram pack; candidate = nearest previous position with the same hash,
-  found by one sort per table;
+- match finding (C, ``kernels.c``): 6-gram and 16-gram 40-bit hashes
+  built from one 8-byte pack per position; candidate = nearest previous
+  position with the same hash, found in one pass per table through an
+  open-addressing hash table keyed by the full hash, so a bucket collision
+  never changes a candidate;
 - greedy parse (C, ``kernels.c``): per position, probe the candidates and
   keep the best by net bit gain; the probes verify and extend every
   candidate, so hash collisions only cost a short or failed match;
@@ -21,8 +23,9 @@ described in RFC 8878 — format here is the engine's own):
 - decode expands the sequences in C, checking every length and offset
   against the output and literal bounds.
 
-The Python/numpy parse and expand loops these replaced are kept in
-``tests/numpy_oracle.py``, and the tests hold the two byte-identical.
+The Python/numpy match finder, parse and expand loops these replaced are
+kept in ``tests/numpy_oracle.py``, and the tests hold the two
+byte-identical.
 """
 
 from __future__ import annotations
@@ -97,71 +100,27 @@ def _off_decode(code: np.ndarray, extra: np.ndarray) -> np.ndarray:
 
 # ------------------------------------------------------------ match finding
 
-def _grams_u64(data: np.ndarray, k: int) -> np.ndarray:
-    """k<=8: exact little-endian pack; k>8: polynomial hash (collisions
-    are fine — candidates are verified by extension)."""
-    n = data.size - k + 1
-    if n <= 0:
-        return np.zeros(0, dtype=_U64)
-    g = np.zeros(n, dtype=_U64)
-    if k <= 8:
-        for j in range(k):
-            g |= data[j : j + n].astype(_U64) << _U64(8 * j)
-        return g
-    prime = np.uint64(0x100000001B3)
-    for j in range(k):
-        g = g * prime + data[j : j + n].astype(_U64)
-    return g
+_POS_BITS = 24  # max 16M positions per parse segment; kernels.c hard-codes the same
 
 
-_GOLD = np.uint64(0x9E3779B97F4A7C15)
-_POS_BITS = 24  # max 16M positions per parse segment
-_POS_MASK = np.uint64((1 << _POS_BITS) - 1)
-
-
-def _prev_from_hash(h: np.ndarray, stride: int = 1) -> np.ndarray:
-    """Nearest previous position with the same 40-bit hash.
-
-    Single in-place sort of (hash << 24 | pos) — the position rides in the
-    low bits, so equal-hash runs come out position-ascending and no argsort
-    permutation is needed. Candidates are verified later by extension from
-    length 0 (hash collisions just yield a short/failed match).
-
-    ``stride > 1``: only stride-aligned positions participate (for fixed-
-    width element streams like u16 line ids, misaligned matches are noise
-    — dropping them is both faster AND smaller; the wire format is
-    unchanged, offsets/lengths stay byte-granular)."""
-    n = h.size
-    if n <= 1:
-        return np.full(max(n, 0), -1, dtype=np.int32)
-    cand = np.full(n, -1, dtype=np.int32)
-    key = h[::stride] << np.uint64(_POS_BITS)
-    key |= np.arange(0, n, stride, dtype=_U64)
-    key.sort()
-    pos = (key & _POS_MASK).astype(np.int32)
-    key >>= np.uint64(_POS_BITS)  # the hashes, in sorted order
-    same = key[1:] == key[:-1]
-    cand[pos[1:][same]] = pos[:-1][same]
-    return cand
-
-
-def _match_candidates(data: np.ndarray, stride: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def lz_candidates(data: np.ndarray, stride: int = 1) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(g8, c6, c16): the little-endian 8-byte pack at every position, and
-    the nearest earlier position with the same 6-gram / 16-gram hash."""
-    # one 8-gram pack pass feeds BOTH tables: the 6-gram is its low 48
-    # bits; the 16-gram hash mixes g8[i] with g8[i+8] (saves ~14 full-array
-    # passes vs building each gram independently; the 2 tail positions the
-    # g8 window can't cover are a negligible candidate loss)
-    g8 = _grams_u64(data, 8)
-    shift = np.uint64(64 - 40)
-    # the hash arrays are temporaries, freed as soon as each table is built
-    c6 = _prev_from_hash(((g8 & np.uint64(0xFFFFFFFFFFFF)) * _GOLD) >> shift, stride)
-    if g8.size > 8:
-        c16 = _prev_from_hash(
-            ((g8[:-8] * _GOLD) ^ (g8[8:] * np.uint64(0xC2B2AE3D27D4EB4F))) >> shift, stride
-        )
-    else:
-        c16 = np.full(0, -1, dtype=np.int32)
+    the nearest earlier stride-aligned position with the same 40-bit
+    6-gram / 16-gram hash (-1: none). ``stride > 1`` suits fixed-width
+    element streams such as u16 line ids, where misaligned matches are
+    noise; offsets and lengths stay byte-granular. The hash tables are
+    ``lz_candidates`` in ``kernels.c``."""
+    n = int(data.size)
+    n6 = max(n - 7, 0)
+    g8 = np.empty(n6, dtype=_U64)
+    c6 = np.empty(n6, dtype=np.int32)
+    c16 = np.empty(max(n6 - 8, 0), dtype=np.int32)
+    rc = lib.lz_candidates(
+        ffi.from_buffer("uint8_t[]", data), n, stride, ffi.from_buffer("uint64_t[]", g8),
+        ffi.from_buffer("int32_t[]", c6), ffi.from_buffer("int32_t[]", c16),
+    )
+    if rc:
+        raise MemoryError("lz_candidates")
     return g8, c6, c16
 
 
@@ -169,13 +128,13 @@ def lz_parse(
     data: np.ndarray, stride: int = 1
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Greedy parse → (lit_lens, match_lens, offsets, literal bytes), the
-    first three as int32 arrays. The parse loop is ``lz_parse`` in
-    ``kernels.c``; its comment gives the decision rule."""
+    first three as int32 arrays: :func:`lz_candidates`, then the parse loop
+    ``lz_parse`` in ``kernels.c``, whose comment gives the decision rule."""
     data = np.ascontiguousarray(data, dtype=np.uint8)
     n = int(data.size)
     if n >= 1 << _POS_BITS:
         raise CodecError("lz_parse segment too large; encode_lz must chunk")
-    g8, c6, c16 = _match_candidates(data, stride)
+    g8, c6, c16 = lz_candidates(data, stride)
     # every match is at least MIN_MATCH bytes long
     seqs = np.empty((3, n // MIN_MATCH + 1), dtype=np.int32)
     lits = np.empty(n, dtype=np.uint8)

@@ -1,6 +1,7 @@
 """Build-once loader for the compiled kernels in ``kernels.c``: the order-0
-and order-1 rANS coders, the bit packer, the LZ parse and expand loops, and
-the FSST greedy longest-match encode and decode.
+and order-1 rANS coders, the byte and bigram histogram (``byte_hist``), the
+bit packer, the LZ match finder (``lz_candidates``), parse and expand
+loops, and the FSST greedy longest-match encode and decode.
 
 On first import the C source is compiled with the system C compiler
 (``$CC``, default ``cc``) into a shared library cached under
@@ -50,10 +51,13 @@ ffi.cdef(
     int rans1_decode(const uint8_t *stream, int64_t nbytes, uint32_t *states,
                      int64_t N, int64_t n, const uint8_t *cls,
                      const uint32_t *freq, int64_t A, uint8_t *out);
+    void byte_hist(const uint8_t *d, int64_t n, int64_t *c1, int64_t *c2);
     int pack_bits(const uint64_t *v, int64_t n, const int64_t *widths, int width,
                   uint8_t *out);
     int unpack_bits(const uint8_t *buf, int64_t nbytes, int64_t n,
                     const int64_t *widths, int width, uint64_t *out);
+    int lz_candidates(const uint8_t *d, int64_t n, int64_t stride, uint64_t *g8,
+                      int32_t *c6, int32_t *c16);
     int64_t lz_parse(const uint8_t *d, int64_t n, const uint64_t *g8,
                      const int32_t *c6, int64_t n6, const int32_t *c16, int64_t n16,
                      int32_t *ll, int32_t *ml, int32_t *of, uint8_t *lits,

@@ -6,10 +6,11 @@ with interleaved lanes for SIMD decode). This replaces the reference's
 per-byte adaptive range coder (`/root/reference/src/lib/ppmd/Ppmd7Enc.c:9-72`,
 `Ppmd7Dec.c:9-64`) with a two-pass static model. The symbol loops of
 :func:`rans_encode`/:func:`rans_decode` are C (``kernels.c``, built once
-per node and loaded by ``native.py``); this module keeps the model (freq
-quantization, lane count, blob framing) in numpy. The lane-vectorized
-numpy coder it replaced is kept in ``tests/numpy_oracle.py``, and the tests
-hold the two byte-identical.
+per node and loaded by ``native.py``), and so is the byte and bigram count
+behind the models and the size estimate (:func:`byte_hist`); this module
+keeps the model (freq quantization, lane count, blob framing) in numpy.
+The lane-vectorized numpy coder and the bincounts it replaced are kept in
+``tests/numpy_oracle.py``, and the tests hold the two byte-identical.
 
 Stream framing is explicit (lane count, length, freq table, final states in
 the blob header) — the engine-wide answer to the reference's out-of-band
@@ -159,25 +160,44 @@ def rans_decode(stream: memoryview | bytes, states: np.ndarray, N: int, n: int,
 
 # ---------------------------------------------------- size estimation
 
+def byte_hist(arr: np.ndarray, bigrams: bool = False) -> tuple[np.ndarray, np.ndarray | None]:
+    """(c1, c2): the int64 count of each byte value of the uint8 ``arr``
+    and, with ``bigrams``, the (256, 256) count of each (previous byte,
+    byte) pair; c2 is None without. One pass, ``byte_hist`` in
+    ``kernels.c``."""
+    arr = np.ascontiguousarray(arr, dtype=np.uint8)
+    c1 = np.empty(256, dtype=np.int64)
+    c2 = np.empty((256, 256), dtype=np.int64) if bigrams else None
+    lib.byte_hist(
+        ffi.from_buffer("uint8_t[]", arr), arr.size, ffi.from_buffer("int64_t[]", c1),
+        ffi.from_buffer("int64_t[]", c2) if bigrams else ffi.NULL,
+    )
+    return c1, c2
+
+
+def alphabet_size(c1: np.ndarray) -> int:
+    """1 + the largest byte value counted in ``c1`` (which counts some)."""
+    return int(np.flatnonzero(c1)[-1]) + 1
+
+
 def estimate_rans_sizes(data: bytes | np.ndarray) -> tuple[int, int, int]:
     """(raw, ~rans0, ~rans1) encoded sizes from byte/bigram histograms —
-    O(n) with two bincounts, no trial encodes. Estimates include header
+    O(n) with one counting pass, no trial encodes. Estimates include header
     overheads; rans1 uses the ideal order-1 entropy × a small fudge for
     its 16-class context quantization."""
     arr = np.frombuffer(data, dtype=np.uint8) if not isinstance(data, np.ndarray) else data
     n = int(arr.size)
     if n == 0:
         return 0, 24, 42
-    c0 = np.bincount(arr, minlength=256).astype(np.float64)
+    c1, c2 = byte_hist(arr, bigrams=n >= 4096)
+    c0 = c1.astype(np.float64)
     p0 = c0[c0 > 0] / n
     h0 = float(-(p0 * np.log2(p0)).sum())
-    A = int(arr.max()) + 1
+    A = alphabet_size(c1)
     N = _lane_count(n)
     rans0 = int(n * h0 / 8) + (A * 13 + 7) // 8 + 4 * N + 24
-    if n >= 4096:
-        big = np.bincount(
-            arr[:-1].astype(np.int64) * 256 + arr[1:], minlength=65536
-        ).astype(np.float64)
+    if c2 is not None:
+        big = c2.reshape(-1).astype(np.float64)
         big = big[big > 0]
         pj = big / (n - 1)
         hj = float(-(pj * np.log2(pj)).sum())  # H(prev, cur)
@@ -214,9 +234,10 @@ def encode_rans0(data: bytes | memoryview | np.ndarray) -> bytes:
     n = int(arr.size)
     if n == 0:
         return pack_blob("rans0", {"n": 0, "N": 1, "A": 0})
-    # minlength 2: single-symbol inputs need a dummy slot for cap_full_freq
-    counts = np.bincount(arr, minlength=2)
-    A = int(counts.size)
+    # at least 2 slots: single-symbol inputs need a dummy slot for cap_full_freq
+    c1, _ = byte_hist(arr)
+    A = max(alphabet_size(c1), 2)
+    counts = c1[:A]
     freqs = cap_full_freq(normalize_freqs(counts))
     stream, states, N = rans_encode(arr, freqs)
     from .numeric import pack_uints

@@ -11,7 +11,8 @@ Lane layout: lanes are CONTIGUOUS CHUNKS (lane k owns positions
 previous symbol. The first symbol of each lane uses class 0. The encode
 and decode loops are C (``rans1_encode``/``rans1_decode`` in
 ``kernels.c``); this module builds the model (class map, per-class
-tables) in numpy. The lockstep numpy coder they replaced is kept in
+tables) in numpy from one compiled byte and bigram count
+(``rans.byte_hist``). The lockstep numpy coder they replaced is kept in
 ``tests/numpy_oracle.py``, and the tests hold the two byte-identical.
 
 Wire format: cls_map (256 x 4-bit) + per-class 13-bit freq tables +
@@ -28,7 +29,14 @@ import numpy as np
 from .base import CodecError, pack_blob, register
 from .native import ffi, lib
 from .numeric import pack_uints, unpack_uints
-from .rans import _DECODE_ERRORS, _NO_MEMORY, cap_full_freq, normalize_freqs
+from .rans import (
+    _DECODE_ERRORS,
+    _NO_MEMORY,
+    alphabet_size,
+    byte_hist,
+    cap_full_freq,
+    normalize_freqs,
+)
 
 _U32 = np.uint32
 _U64 = np.uint64
@@ -36,12 +44,11 @@ _U64 = np.uint64
 N_CLASSES = 16  # kernels.c hard-codes the same, and PROB_BITS = 12
 
 
-def build_classes(data: np.ndarray) -> np.ndarray:
-    """256 → class map: the 15 most frequent context bytes get their own
-    class; everything else shares class 15. Class 0 is reserved for the
-    most frequent byte so lane-boundary symbols (forced class 0) use the
-    commonest model."""
-    counts = np.bincount(data, minlength=256)
+def build_classes(counts: np.ndarray) -> np.ndarray:
+    """256 → class map from the byte counts: the 15 most frequent context
+    bytes get their own class; everything else shares class 15. Class 0 is
+    reserved for the most frequent byte so lane-boundary symbols (forced
+    class 0) use the commonest model."""
     order = np.argsort(-counts, kind="stable")
     cls = np.full(256, N_CLASSES - 1, dtype=np.uint8)
     for rank, b in enumerate(order[: N_CLASSES - 1]):
@@ -55,19 +62,32 @@ def _lane_count(n: int) -> int:
     return max(1, min(8192, n // 700)) if n else 1
 
 
+def rans1_counts(arr: np.ndarray, N: int) -> tuple[np.ndarray, np.ndarray]:
+    """(cls, cnt): the class map and the (N_CLASSES, A) int64 counts of each
+    byte of ``arr`` under the class of its previous byte, class 0 at the
+    start of each of the N contiguous lanes; A = max(arr.max() + 1, 2)."""
+    n = int(arr.size)
+    c1, c2 = byte_hist(arr, bigrams=True)
+    cls = build_classes(c1)
+    A = max(alphabet_size(c1), 2)  # >= 2 so cap_full_freq has a dummy slot
+    # (class of the previous byte, byte) counts from the bigram counts:
+    # classes 0..14 hold one byte each, class 15 the rest
+    cnt = np.empty((N_CLASSES, 256), dtype=np.int64)
+    own = np.flatnonzero(cls < N_CLASSES - 1)
+    cnt[cls[own]] = c2[own]
+    cnt[-1] = c2[cls == N_CLASSES - 1].sum(axis=0)
+    # each lane's first byte has class 0 instead (position 0 has no bigram)
+    starts = np.arange(0, n, -(-n // N))
+    np.add.at(cnt, (cls[arr[starts[1:] - 1]], arr[starts[1:]]), -1)
+    np.add.at(cnt[0], arr[starts], 1)
+    return cls, cnt[:, :A]
+
+
 def rans1_tables(arr: np.ndarray, N: int) -> tuple[np.ndarray, np.ndarray]:
     """(cls, F): the class map and the (N_CLASSES, A) quantized tables of
     ``arr`` coded in N contiguous lanes, A = max(arr.max() + 1, 2)."""
-    n = int(arr.size)
-    cls = build_classes(arr)
-    A = max(int(arr.max()) + 1, 2)  # >= 2 so cap_full_freq has a dummy slot
-    # context class per position; class 0 at lane starts
-    ctx = np.zeros(n, dtype=np.uint8)
-    ctx[1:] = cls[arr[:-1]]
-    ctx[:: -(-n // N)] = 0
-    cnt = np.bincount(
-        ctx.astype(np.int64) * A + arr, minlength=N_CLASSES * A
-    ).reshape(N_CLASSES, A)
+    cls, cnt = rans1_counts(arr, N)
+    A = cnt.shape[1]
     F = np.zeros((N_CLASSES, A), dtype=_U32)
     for c in range(N_CLASSES):
         if cnt[c].sum() > 0:

@@ -131,11 +131,12 @@ def _line_dict_wins(data: bytes, max_distinct_ratio: float = 0.35) -> bool:
     the regime where the line-dictionary codec dominates LZ."""
     import pyarrow as pa
 
+    from .lined import line_offsets
+
     arr = np.frombuffer(data, dtype=np.uint8)
-    nl = np.flatnonzero(arr == 10)
-    if nl.size < 64:
+    offs, newlines = line_offsets(arr)
+    if newlines < 64:
         return False
-    offs = np.unique(np.concatenate(([0], nl + 1, [arr.size]))).astype(np.int64)
     n_lines = offs.size - 1
     avg_line = arr.size / n_lines
     if avg_line > 512:  # long "lines" → not line-structured text

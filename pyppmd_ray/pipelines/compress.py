@@ -214,14 +214,15 @@ def train_shared_state(
 ) -> dict:
     """Train partition-shared codec state from ONE sample pass: the
     selector's plan (:func:`plan_sample_table`) plus, for every column it
-    routed to FSST, a shared symbol table trained on the sample. Returns
+    routed to FSST, a shared symbol table trained on the sample's data, or
+    on its distinct values under the ``sdict`` layout. Returns
     ``{"hints", "batch_rows"}``; passed as ``fn_kwargs`` it travels to the
     workers as one object-store copy per operator — the engine analogue of
     the reference's per-stream trained model, which refuses pickling and
     must be built inside each worker
     (`/root/reference/src/ext/_ppmdmodule.c:617-634`)."""
     from ..codecs.fsst import train_table
-    from ..codecs.strings import filled_strcol
+    from ..codecs.strings import dict_encode_strcol, filled_strcol
 
     sample = ds.limit(sample_rows).take_batch(sample_rows, batch_format="pyarrow")
     if columns:
@@ -234,6 +235,8 @@ def train_shared_state(
         col = filled_strcol(sample[name])
         if col is None:
             continue
+        if h.get("layout") == "sdict":
+            _, col = dict_encode_strcol(col)  # the values encode_sdict encodes
         _, data = col
         if len(data) >= 256:
             h["fsst_table"] = train_table(data[: 1 << 20])

@@ -3,15 +3,18 @@
 (``rans_encode``/``rans_decode``), the order-1 coder
 (``rans1_encode``/``rans1_decode``), the LSB-first bit packers
 (``pack_uints``/``unpack_uints``, ``pack_varbits``/``unpack_varbits``),
-the LZ greedy parse and sequence expansion (``lz_parse``/``lz_expand``),
-and the FSST greedy longest-match encode and decode
+the LZ match finder, greedy parse and sequence expansion
+(``lz_candidates``/``lz_parse``/``lz_expand``), the byte and bigram
+counts behind the rANS models (``estimate_rans_sizes``,
+``rans1_counts``), and the FSST greedy longest-match encode and decode
 (``fsst_encode_codes``/``fsst_decode_codes``).
 
 These are the versions the package ran before those loops were compiled.
 They are kept here only as wire-identity oracles: the tests assert that the
 compiled kernels produce the same stream bytes, final states, lane counts,
-packed bytes, sequences, code streams and output. Not collected by pytest
-(no ``test_`` prefix); import it as ``numpy_oracle`` from a test module.
+packed bytes, match candidates, counts, sequences, code streams and
+output. Not collected by pytest (no ``test_`` prefix); import it as
+``numpy_oracle`` from a test module.
 """
 
 from __future__ import annotations
@@ -310,6 +313,67 @@ def unpack_varbits(buf: memoryview | bytes, widths: np.ndarray) -> np.ndarray:
 
 # ---------------------------------------------------------------------- LZ
 
+def _grams_u64(data: np.ndarray, k: int) -> np.ndarray:
+    """k<=8: exact little-endian pack; k>8: polynomial hash (collisions
+    are fine — candidates are verified by extension)."""
+    n = data.size - k + 1
+    if n <= 0:
+        return np.zeros(0, dtype=_U64)
+    g = np.zeros(n, dtype=_U64)
+    if k <= 8:
+        for j in range(k):
+            g |= data[j : j + n].astype(_U64) << _U64(8 * j)
+        return g
+    prime = np.uint64(0x100000001B3)
+    for j in range(k):
+        g = g * prime + data[j : j + n].astype(_U64)
+    return g
+
+
+_GOLD = np.uint64(0x9E3779B97F4A7C15)
+_POS_BITS = 24  # max 16M positions per parse segment
+_POS_MASK = np.uint64((1 << _POS_BITS) - 1)
+
+
+def _prev_from_hash(h: np.ndarray, stride: int = 1) -> np.ndarray:
+    """Nearest previous position with the same 40-bit hash.
+
+    Single in-place sort of (hash << 24 | pos) — the position rides in the
+    low bits, so equal-hash runs come out position-ascending and no argsort
+    permutation is needed.
+
+    ``stride > 1``: only stride-aligned positions participate."""
+    n = h.size
+    if n <= 1:
+        return np.full(max(n, 0), -1, dtype=np.int32)
+    cand = np.full(n, -1, dtype=np.int32)
+    key = h[::stride] << np.uint64(_POS_BITS)
+    key |= np.arange(0, n, stride, dtype=_U64)
+    key.sort()
+    pos = (key & _POS_MASK).astype(np.int32)
+    key >>= np.uint64(_POS_BITS)  # the hashes, in sorted order
+    same = key[1:] == key[:-1]
+    cand[pos[1:][same]] = pos[:-1][same]
+    return cand
+
+
+def lz_candidates(data: np.ndarray, stride: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(g8, c6, c16): the little-endian 8-byte pack at every position, and
+    the nearest earlier position with the same 6-gram / 16-gram hash."""
+    # one 8-gram pack pass feeds BOTH tables: the 6-gram is its low 48
+    # bits; the 16-gram hash mixes g8[i] with g8[i+8]
+    g8 = _grams_u64(data, 8)
+    shift = np.uint64(64 - 40)
+    c6 = _prev_from_hash(((g8 & np.uint64(0xFFFFFFFFFFFF)) * _GOLD) >> shift, stride)
+    if g8.size > 8:
+        c16 = _prev_from_hash(
+            ((g8[:-8] * _GOLD) ^ (g8[8:] * np.uint64(0xC2B2AE3D27D4EB4F))) >> shift, stride
+        )
+    else:
+        c16 = np.full(0, -1, dtype=np.int32)
+    return g8, c6, c16
+
+
 def _mismatch_at(a: bytes, b: bytes) -> int:
     """First differing index of two equal-length unequal byte strings."""
     lo, hi = 0, len(a)
@@ -343,9 +407,9 @@ def _extend_match(db: bytes, c: int, j: int, L: int, n: int) -> int:
 
 def lz_parse(data: np.ndarray, stride: int = 1) -> tuple[list[int], list[int], list[int], np.ndarray]:
     """Greedy parse → (lit_lens, match_lens, offsets, literal bytes), on the
-    package's own match candidates (``lz._match_candidates``)."""
+    sort-based match candidates of :func:`lz_candidates`."""
     n = int(data.size)
-    g8, c6, c16 = lz._match_candidates(data, stride)
+    g8, c6, c16 = lz_candidates(data, stride)
     mpos = np.flatnonzero(c6 >= 0)
     db = data.tobytes()
     c6l = memoryview(np.ascontiguousarray(c6))
@@ -453,6 +517,53 @@ def lz_expand(ll: np.ndarray, ml: np.ndarray, of: np.ndarray, lits: np.ndarray, 
         o += mlv
     out[o:] = lits[lp : lp + n - o]
     return out.tobytes()
+
+
+# -------------------------------------------------------------- histograms
+
+def estimate_rans_sizes(data: bytes | np.ndarray) -> tuple[int, int, int]:
+    """(raw, ~rans0, ~rans1) encoded sizes from two bincounts."""
+    arr = np.frombuffer(data, dtype=np.uint8) if not isinstance(data, np.ndarray) else data
+    n = int(arr.size)
+    if n == 0:
+        return 0, 24, 42
+    c0 = np.bincount(arr, minlength=256).astype(np.float64)
+    p0 = c0[c0 > 0] / n
+    h0 = float(-(p0 * np.log2(p0)).sum())
+    A = int(arr.max()) + 1
+    N = _lane_count(n)
+    rans0 = int(n * h0 / 8) + (A * 13 + 7) // 8 + 4 * N + 24
+    if n >= 4096:
+        big = np.bincount(
+            arr[:-1].astype(np.int64) * 256 + arr[1:], minlength=65536
+        ).astype(np.float64)
+        big = big[big > 0]
+        pj = big / (n - 1)
+        hj = float(-(pj * np.log2(pj)).sum())  # H(prev, cur)
+        h1 = max(hj - h0, 0.1)
+        rans1 = int(n * h1 * 1.06 / 8) + 16 * (A * 13 + 7) // 8 + 4 * N + 170
+    else:
+        rans1 = 1 << 60
+    return n + 16, rans0, rans1
+
+
+def rans1_counts(arr: np.ndarray, N: int) -> tuple[np.ndarray, np.ndarray]:
+    """(cls, cnt): the class map and the (N_CLASSES, A) counts of each byte
+    under the class of its previous byte, class 0 at the start of each of
+    the N contiguous lanes; A = max(arr.max() + 1, 2)."""
+    n = int(arr.size)
+    order = np.argsort(-np.bincount(arr, minlength=256), kind="stable")
+    cls = np.full(256, N_CLASSES - 1, dtype=np.uint8)
+    for rank, b in enumerate(order[: N_CLASSES - 1]):
+        cls[b] = rank
+    A = max(int(arr.max()) + 1, 2)
+    ctx = np.zeros(n, dtype=np.uint8)
+    ctx[1:] = cls[arr[:-1]]
+    ctx[:: -(-n // N)] = 0
+    cnt = np.bincount(
+        ctx.astype(np.int64) * A + arr, minlength=N_CLASSES * A
+    ).reshape(N_CLASSES, A)
+    return cls, cnt
 
 
 # -------------------------------------------------------------------- FSST

@@ -223,6 +223,31 @@ def test_shared_state_encode_roundtrip(tmp_path):
 
 
 @pytest.mark.usefixtures("ray_session")
+def test_shared_fsst_table_is_trained_on_what_the_layout_encodes():
+    """An ``sdict`` column's FSST stream holds only its distinct values, so
+    its shared table is trained on the sample's distinct values; a ``strs``
+    column's table on the sample's data."""
+    import ray.data as rd
+
+    from pyppmd_ray.codecs.fsst import train_table
+    from pyppmd_ray.codecs.strings import dict_encode_strcol, filled_strcol
+    from pyppmd_ray.fixtures import generate_source_table
+    from pyppmd_ray.pipelines import train_shared_state
+
+    t = generate_source_table(2000, seed=1)  # under the 4,096-row sample
+    hints = train_shared_state(rd.from_arrow(t))["hints"]
+    layouts = {h["layout"] for h in hints.values() if "fsst_table" in h}
+    assert layouts == {"sdict", "strs"}, hints
+    for name, h in hints.items():
+        if "fsst_table" not in h:
+            continue
+        col = filled_strcol(t[name])
+        if h["layout"] == "sdict":
+            _, col = dict_encode_strcol(col)
+        assert h["fsst_table"] == train_table(col[1][: 1 << 20]), name
+
+
+@pytest.mark.usefixtures("ray_session")
 def test_decode_quarantine_skips_corrupt_block(tmp_path):
     """A corrupt block must not poison the decode job: with
     quarantine=True it is skipped and parked under _quarantine/."""

@@ -20,10 +20,17 @@ import numpy_oracle as oracle
 from pyppmd_ray.codecs import CodecError, decode_blob, encode_lz, encode_rans0, unpack_blob
 from pyppmd_ray.codecs.base import pack_blob, read_uvarint
 from pyppmd_ray.codecs.fsst import encode_fsst, fsst_decode_codes, fsst_encode_codes, train_table
-from pyppmd_ray.codecs.lz import lz_parse
+from pyppmd_ray.codecs.lz import lz_candidates, lz_parse
 from pyppmd_ray.codecs.numeric import pack_uints, pack_varbits, unpack_uints, unpack_varbits
-from pyppmd_ray.codecs.rans import cap_full_freq, normalize_freqs, rans_decode, rans_encode
-from pyppmd_ray.codecs.rans_ctx import _lane_count, encode_rans1, rans1_tables
+from pyppmd_ray.codecs.rans import (
+    byte_hist,
+    cap_full_freq,
+    estimate_rans_sizes,
+    normalize_freqs,
+    rans_decode,
+    rans_encode,
+)
+from pyppmd_ray.codecs.rans_ctx import _lane_count, encode_rans1, rans1_counts, rans1_tables
 from pyppmd_ray.codecs.wtok import _wide_lanes, encode_wtok
 from pyppmd_ray.fixtures import generate_source_table
 
@@ -249,6 +256,94 @@ def test_lz_parse_and_expand_match_oracle(inp, stride):
     assert lits.tobytes() == o_lits.tobytes()
     assert oracle.lz_expand(ll, ml, of, lits, arr.size) == data
     assert decode_blob(encode_lz(data, stride=stride)) == data
+
+
+def _cand_sample(kind: str, n: int, seed: int) -> bytes:
+    """``_sample`` kinds plus runs of one byte and inputs over 4 symbols."""
+    rng = np.random.default_rng(seed)
+    if kind == "one":
+        return bytes([int(rng.integers(0, 256))]) * n
+    if kind == "four":
+        return rng.integers(0, 4, n, dtype=np.uint8).tobytes()
+    return _sample(kind, n, seed)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.sampled_from(["text", "ids", "random", "runs", "one", "four"]),
+    # 32-48: c16 (n - 15 entries) near empty; the short parses lz_parse
+    # takes below encode_lz's 32-byte cut, and long ones with deep chains
+    st.one_of(st.integers(0, 48), st.integers(32, 48), st.integers(0, 100_000)),
+    st.integers(0, 2**32 - 1),
+    st.sampled_from([1, 2, 4]),
+)
+def test_lz_candidates_match_oracle(kind, n, seed, stride):
+    arr = np.frombuffer(_cand_sample(kind, n, seed), dtype=np.uint8)
+    got = lz_candidates(arr, stride)
+    want = oracle.lz_candidates(arr, stride)
+    for name, g, w in zip(("g8", "c6", "c16"), got, want):
+        assert g.dtype == w.dtype and g.shape == w.shape, name
+        np.testing.assert_array_equal(g, w, err_msg=name)
+
+
+def test_lz_candidates_out_of_memory_raises(tmp_path):
+    """With the address space capped so that the outputs fit but the hash
+    table does not, the kernel reports -4 and Python raises MemoryError;
+    with the cap lifted the same call succeeds."""
+    child = textwrap.dedent(
+        """
+        import resource
+        import numpy as np
+        from pyppmd_ray.codecs.lz import lz_candidates
+
+        n = 1 << 20  # outputs 16 MiB; the table 2n + 1 slots of 8 B, 16 MiB
+        data = np.zeros(n, dtype=np.uint8)
+        with open("/proc/self/statm") as f:
+            vm = int(f.read().split()[0]) * resource.getpagesize()
+        _, hard = resource.getrlimit(resource.RLIMIT_AS)
+        resource.setrlimit(resource.RLIMIT_AS, (vm + (24 << 20), hard))
+        try:
+            lz_candidates(data, 1)
+        except MemoryError:
+            print("MemoryError")
+        resource.setrlimit(resource.RLIMIT_AS, (hard, hard))
+        print(int(lz_candidates(data, 1)[1][-1]))
+        """
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", child], cwd=tmp_path, env={**os.environ, "PYTHONPATH": str(ROOT)},
+        capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["MemoryError", str((1 << 20) - 9)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.sampled_from(["text", "ids", "random", "runs", "one", "four"]),
+    st.one_of(st.integers(0, 8), st.integers(0, 5000), st.integers(4096, 200_000)),
+    st.integers(0, 2**32 - 1),
+)
+def test_byte_hist_matches_bincount(kind, n, seed):
+    data = _cand_sample(kind, n, seed)
+    arr = np.frombuffer(data, dtype=np.uint8)
+    c1, none = byte_hist(arr)
+    assert none is None
+    np.testing.assert_array_equal(c1, np.bincount(arr, minlength=256))
+    c1b, c2 = byte_hist(arr, bigrams=True)
+    np.testing.assert_array_equal(c1b, c1)
+    pairs = arr[:-1].astype(np.int64) * 256 + arr[1:] if n else np.zeros(0, np.int64)
+    np.testing.assert_array_equal(c2.reshape(-1), np.bincount(pairs, minlength=65536))
+    assert estimate_rans_sizes(data) == oracle.estimate_rans_sizes(data)
+    if n:
+        # lane counts from one lane to one lane per byte: every lane start
+        # takes class 0 instead of its previous byte's class
+        for N in {1, 2, _lane_count(n), max(1, n // 7), n}:
+            cls, cnt = rans1_counts(arr, N)
+            o_cls, o_cnt = oracle.rans1_counts(arr, N)
+            np.testing.assert_array_equal(cls, o_cls)
+            assert cnt.shape == o_cnt.shape
+            np.testing.assert_array_equal(cnt, o_cnt)
 
 
 @settings(max_examples=60, deadline=None)
