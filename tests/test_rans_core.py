@@ -271,8 +271,9 @@ def _cand_sample(kind: str, n: int, seed: int) -> bytes:
 @settings(max_examples=80, deadline=None)
 @given(
     st.sampled_from(["text", "ids", "random", "runs", "one", "four"]),
-    # 32-48: c16 (n - 15 entries) near empty; the short parses lz_parse
-    # takes below encode_lz's 32-byte cut, and long ones with deep chains
+    # up to 48 bytes: no 8-byte pack (n < 8), c16 empty (n <= 15) or with
+    # one entry (n = 16), and encode_lz's 32-byte cut; longer inputs build
+    # deep chains of equal hashes
     st.one_of(st.integers(0, 48), st.integers(32, 48), st.integers(0, 100_000)),
     st.integers(0, 2**32 - 1),
     st.sampled_from([1, 2, 4]),
@@ -332,7 +333,7 @@ def test_byte_hist_matches_bincount(kind, n, seed):
     np.testing.assert_array_equal(c1, np.bincount(arr, minlength=256))
     c1b, c2 = byte_hist(arr, bigrams=True)
     np.testing.assert_array_equal(c1b, c1)
-    pairs = arr[:-1].astype(np.int64) * 256 + arr[1:] if n else np.zeros(0, np.int64)
+    pairs = arr[:-1].astype(np.int64) * 256 + arr[1:]
     np.testing.assert_array_equal(c2.reshape(-1), np.bincount(pairs, minlength=65536))
     assert estimate_rans_sizes(data) == oracle.estimate_rans_sizes(data)
     if n:
