@@ -110,6 +110,8 @@ def lz_candidates(data: np.ndarray, stride: int = 1) -> tuple[np.ndarray, np.nda
     element streams such as u16 line ids, where misaligned matches are
     noise; offsets and lengths stay byte-granular. The hash tables are
     ``lz_candidates`` in ``kernels.c``."""
+    if stride < 1:
+        raise ValueError(f"lz stride must be at least 1, got {stride}")
     n = int(data.size)
     n6 = max(n - 7, 0)
     g8 = np.empty(n6, dtype=_U64)

@@ -287,6 +287,11 @@ def test_lz_candidates_match_oracle(kind, n, seed, stride):
         np.testing.assert_array_equal(g, w, err_msg=name)
 
 
+def test_lz_candidates_rejects_stride_below_one():
+    with pytest.raises(ValueError):
+        lz_candidates(np.zeros(64, dtype=np.uint8), 0)
+
+
 def test_lz_candidates_out_of_memory_raises(tmp_path):
     """With the address space capped so that the outputs fit but the hash
     table does not, the kernel reports -4 and Python raises MemoryError;
