@@ -31,7 +31,7 @@ from __future__ import annotations
 
 __version__ = "0.1.0"
 
-from .codecs import encode_blob, decode_blob  # noqa: F401
+from .codecs import decode_blob  # noqa: F401
 from .codecs.bytesapi import (  # noqa: F401
     compress,
     decompress,

@@ -41,6 +41,8 @@ def _ray_init(num_cpus: int | None):
 
 
 def main(argv: list[str] | None = None) -> int:
+    from pyppmd_ray.stages.encode import DEFAULT_BLOCK_BYTES, DEFAULT_UNIT_BYTES
+
     p = argparse.ArgumentParser(prog="pyppmd_ray")
     p.add_argument("--num-cpus", type=int, default=None)
     sub = p.add_subparsers(dest="cmd", required=True)
@@ -49,8 +51,8 @@ def main(argv: list[str] | None = None) -> int:
     e.add_argument("input")
     e.add_argument("out_dir")
     e.add_argument("--columns", default=None)
-    e.add_argument("--block-bytes", type=int, default=16 << 20)
-    e.add_argument("--unit-bytes", type=int, default=32 << 20)
+    e.add_argument("--block-bytes", type=int, default=DEFAULT_BLOCK_BYTES)
+    e.add_argument("--unit-bytes", type=int, default=DEFAULT_UNIT_BYTES)
     e.add_argument("--no-resume", action="store_true")
 
     d = sub.add_parser("decode")

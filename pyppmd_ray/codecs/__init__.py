@@ -30,12 +30,3 @@ from .fieldt import encode_fieldt  # noqa: F401
 from .wtok import encode_wtok  # noqa: F401
 from .strings import BYTE_CODECS, encode_strings, encode_sdict  # noqa: F401
 from .column import encode_column  # noqa: F401
-
-
-def encode_blob(name: str, data, **kwargs) -> bytes:
-    """Uniform entry: encode ``data`` with the named codec — a byte codec
-    of ``BYTE_CODECS``, ``"int"`` or ``"column"``."""
-    enc = {**BYTE_CODECS, "int": encode_int_auto, "column": encode_column}.get(name)
-    if enc is None:
-        raise CodecError(f"unknown codec {name!r}")
-    return enc(data, **kwargs)

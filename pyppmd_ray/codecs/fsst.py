@@ -17,10 +17,12 @@ numpy/Python versions they replaced are kept in ``tests/numpy_oracle.py``,
 and the tests hold the two byte-identical.
 
 The trained table is the engine's analogue of the reference's per-stream
-adaptive model state: it is built once per block/partition sample and
-shipped IN the blob, so any worker can decode (unlike the reference, whose
-model is unpicklable and rebuilt by replaying the stream,
-`/root/reference/src/ext/_ppmdmodule.c:617-634`).
+adaptive model state. A planned dataset trains it once, on the sample
+(``pipelines.compress.plan_sample_table`` puts it in the plan as the
+``fsst_table`` hint, and every block reuses it); a block without one
+trains its own. Either way it is shipped IN the blob, so any worker can
+decode (unlike the reference, whose model is unpicklable and rebuilt by
+replaying the stream, `/root/reference/src/ext/_ppmdmodule.c:617-634`).
 """
 
 from __future__ import annotations
@@ -33,6 +35,9 @@ from .rans import encode_rans0
 
 ESCAPE = 255  # kernels.c hard-codes the same (FSST_ESCAPE)
 MAX_SYMS = 255
+# a table is trained on at most this many leading bytes, per block or per
+# dataset sample (``pipelines.compress.plan_sample_table``)
+TRAIN_BYTES = 64 << 10
 _U64 = np.uint64
 
 
@@ -163,8 +168,7 @@ def encode_fsst(data: bytes | np.ndarray, table: list[bytes] | None = None) -> b
     arr = np.frombuffer(data, dtype=np.uint8) if not isinstance(data, np.ndarray) else data
     n = int(arr.size)
     if table is None:
-        sample = arr if n <= 1 << 16 else arr[: 1 << 16]
-        table = train_table(sample)
+        table = train_table(arr[:TRAIN_BYTES])
     codes, lits = fsst_encode_codes(arr, table)
     cb = _best_bytes_blob(codes.tobytes())
     lb = _best_bytes_blob(lits.tobytes())

@@ -32,6 +32,7 @@ from .numeric import pack_uints, unpack_uints
 from .rans import (
     _DECODE_ERRORS,
     _NO_MEMORY,
+    _lane_count,
     alphabet_size,
     byte_hist,
     cap_full_freq,
@@ -54,12 +55,6 @@ def build_classes(counts: np.ndarray) -> np.ndarray:
     for rank, b in enumerate(order[: N_CLASSES - 1]):
         cls[b] = rank
     return cls
-
-
-def _lane_count(n: int) -> int:
-    # part of the wire format (N is in every header); the rule dates from
-    # the lockstep numpy coder, where more lanes meant fewer, bigger steps
-    return max(1, min(8192, n // 700)) if n else 1
 
 
 def rans1_counts(arr: np.ndarray, N: int) -> tuple[np.ndarray, np.ndarray]:

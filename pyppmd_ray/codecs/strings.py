@@ -29,8 +29,7 @@ from .wtok import encode_wtok
 StrCol = tuple[np.ndarray, bytes]
 
 # the one name → encoder table of the byte-stream codecs: the selector's
-# trials, string columns, hint validation, ``encode_blob`` and
-# ``compress()`` all read it
+# trials, string columns, hint validation and ``compress()`` all read it
 BYTE_CODECS = {
     "raw": encode_raw,
     "rans0": encode_rans0,
@@ -46,8 +45,9 @@ BYTE_CODECS = {
 def encode_strings(col: StrCol, data_codec: str = "raw",
                    fsst_table: list[bytes] | None = None) -> bytes:
     """``data_codec``: a name in ``BYTE_CODECS``; data under 64 bytes is
-    stored raw. ``fsst_table``: pre-trained shared symbol table (the
-    shared trained-state path, ``encode_dataset_shared``) — skips
+    stored raw. ``fsst_table``: a symbol table trained once on the
+    dataset sample (the ``fsst_table`` hint that
+    ``pipelines.compress.plan_sample_table`` adds to its plan) — skips
     per-block table training; the table is still embedded in the blob,
     so decode stays stateless."""
     offsets, data = col

@@ -3,12 +3,13 @@
 Every shape below runs the same two stateless kernels,
 :func:`~..stages.encode.encode_batches` and
 :func:`~..stages.encode.decode_batches`, as plain Ray tasks — no stage
-holds state across batches, so none needs an actor. Trained state (the
-dataset plan, shared FSST tables) reaches every task through
-``fn_kwargs``, which Ray Data puts in the object store once per operator.
+holds state across batches, so none needs an actor. Trained state is
+the sampled plan of :func:`plan_sample_table` — the selector's hints with
+the FSST symbol tables trained on the sample — and it reaches every task
+through ``fn_kwargs``, which Ray Data puts in the object store once per
+operator.
 
-1. **Streaming** (`encode_dataset` / `decode_dataset` /
-   `encode_dataset_shared`): pure Ray Data —
+1. **Streaming** (`encode_dataset` / `decode_dataset`): pure Ray Data —
    ``read_parquet → map_batches(encode_batches) → encoded Dataset`` and
    the inverse. Lazy, streams with backpressure, no driver
    materialization. Used by benchmarks and as a composable stage.
@@ -45,7 +46,12 @@ import pyarrow.parquet as pq
 import ray.data as rd
 
 from ..stages.blocks import canonical_column_bytes, split_by_bytes
-from ..stages.encode import DEFAULT_BLOCK_BYTES, decode_batches, encode_batches
+from ..stages.encode import (
+    DEFAULT_BLOCK_BYTES,
+    DEFAULT_UNIT_BYTES,
+    decode_batches,
+    encode_batches,
+)
 from ..state.manifest import (
     completed_units,
     unit_blocks_path,
@@ -55,15 +61,30 @@ from ..state.manifest import (
 
 # ------------------------------------------------------------- streaming
 
+# rows the streaming encode samples to plan a dataset
+SAMPLE_ROWS = 1024
+
 
 def plan_sample_table(
     sample: pa.Table, target_block_bytes: int = DEFAULT_BLOCK_BYTES
 ) -> tuple[dict | None, int | None]:
-    """(hints, batch_rows) from an already-materialized sample table —
-    the single planning kernel shared by :func:`plan_dataset_hints` and
-    any deterministic external sampler (bench.py reads its sample with
-    pyarrow directly)."""
+    """(hints, batch_rows) from an already-materialized sample table — the
+    one dataset planner: :func:`encode_dataset` calls it on a leading
+    sample, and any deterministic external sampler can too (bench.py reads
+    its sample with pyarrow directly).
+
+    The hints are the dataset's shared trained state: the selector's plan
+    of the sample's leading ≤2 MiB, plus, for every column it routes to
+    FSST, a symbol table trained on what that column's layout encodes
+    (its data under ``strs``, its distinct values under ``sdict``). Every
+    block then reuses the table instead of training its own; the blob
+    still embeds it, so decode stays a stateless pass. Under 256 bytes of
+    such data no table is trained and the blocks train their own.
+    ``batch_rows`` converts the byte budget into a row count (Ray batches
+    are row-counted) so each task gets ~one target block."""
+    from ..codecs.fsst import TRAIN_BYTES, train_table
     from ..codecs.select import plan_table
+    from ..codecs.strings import dict_encode_strcol, filled_strcol
     from ..stages.blocks import table_uncompressed_bytes
 
     if sample.num_rows == 0:
@@ -71,37 +92,20 @@ def plan_sample_table(
     avg_row = max(1, table_uncompressed_bytes(sample) // sample.num_rows)
     batch_rows = int(min(1 << 16, max(256, target_block_bytes // avg_row)))
     sub = split_by_bytes(sample, 2 << 20)
-    return (plan_table(sub[0]) if sub else None), batch_rows
-
-
-def plan_dataset_hints(
-    ds: rd.Dataset,
-    columns: list[str] | None = None,
-    sample_rows: int = 1024,
-    target_block_bytes: int = DEFAULT_BLOCK_BYTES,
-) -> tuple[dict | None, int | None]:
-    """Run the sampling codec selector ONCE on a leading sample; returns
-    (hints, batch_rows). Per-batch planning costs more than the encode
-    itself on ~1 MB batches (the selector runs trial encodes); one plan per
-    dataset amortizes it to zero. ``batch_rows`` converts the byte budget
-    into a row-count batch size (Ray batches are row-counted) so each task
-    gets ~one target block instead of whatever the read produced. For
-    heterogeneous inputs use ``plan="block"`` (per-batch planning) or
-    run_encode_job (per-unit).
-
-    Determinism note: Ray's streaming ``limit()`` may sample different
-    rows at different cluster sizes, so the chosen plan can vary across
-    RUNS (within one job the plan is computed once and broadcast —
-    retries stay consistent). For a run-reproducible plan, sample the
-    input yourself (e.g. pyarrow read of the first fragment) and call
-    :func:`plan_sample_table`, as bench.py does."""
-    try:
-        sample = ds.limit(sample_rows).take_batch(sample_rows, batch_format="pyarrow")
-    except Exception:
-        return None, None
-    if columns:
-        sample = sample.select(columns)
-    return plan_sample_table(sample, target_block_bytes)
+    if not sub:
+        return None, batch_rows
+    head = sub[0]
+    hints = plan_table(head)
+    for name, h in hints.items():
+        if h["data_codec"] != "fsst":
+            continue
+        col = filled_strcol(head[name])
+        if h["layout"] == "sdict":
+            _, col = dict_encode_strcol(col)  # the values encode_sdict encodes
+        data = col[1][:TRAIN_BYTES]
+        if len(data) >= 256:
+            h["fsst_table"] = train_table(data)
+    return hints, batch_rows
 
 
 def encode_dataset(
@@ -111,7 +115,6 @@ def encode_dataset(
     hints: dict | None = None,
     columns: list[str] | None = None,
     concurrency=None,
-    plan: str = "dataset",
     batch_rows: int | None = None,
     partition_by: tuple[str, ...] | list[str] | None = None,
 ) -> rd.Dataset:
@@ -123,9 +126,20 @@ def encode_dataset(
     compute at small scale). ``concurrency``: at most this many tasks at
     once (``None``: Ray decides).
 
-    ``plan``: "dataset" (default) samples the dataset once and broadcasts
-    the selector's hints to every task; "block" re-plans per batch
-    (heterogeneous inputs).
+    ``hints``: a pinned plan for every task. Without one, the leading
+    ``SAMPLE_ROWS`` rows are planned ONCE with :func:`plan_sample_table`
+    and that plan, trained FSST tables included, travels to every task
+    in ``fn_kwargs`` (one object-store copy per operator). Per-batch
+    planning would cost more than the encode itself on ~1 MB batches (the
+    selector runs trial encodes). For heterogeneous inputs use
+    :func:`run_encode_job`, which plans per unit.
+
+    Determinism note: Ray's streaming ``limit()`` may sample different
+    rows at different cluster sizes, so the plan can vary across RUNS
+    (within one run it is computed once — retries stay consistent). For a
+    run-reproducible plan, sample the input yourself (e.g. pyarrow read
+    of the first fragment), call :func:`plan_sample_table` and pass its
+    hints, as bench.py does.
 
     ``batch_rows``: rows per task batch; derived from the sample when
     planning (≈ one target block per task — bigger tasks amortize parse
@@ -143,15 +157,20 @@ def encode_dataset(
     from ..codecs.select import validate_hints
 
     validate_hints(hints)
-    if hints is None and plan == "dataset":
+    if hints is None:
         # plan BEFORE the partition sort — hints don't depend on row
         # order, and sampling the sorted dataset would execute the
-        # all-to-all sort once just to read 1024 rows (then again for
+        # all-to-all sort once just to read the sample (then again for
         # the real encode)
-        hints, sampled_rows = plan_dataset_hints(
-            ds, columns, target_block_bytes=target_block_bytes
-        )
-        batch_rows = batch_rows or sampled_rows
+        try:
+            sample = ds.limit(SAMPLE_ROWS).take_batch(SAMPLE_ROWS, batch_format="pyarrow")
+        except Exception:  # e.g. an empty dataset: every batch plans itself
+            sample = None
+        if sample is not None:
+            hints, sampled_rows = plan_sample_table(
+                sample.select(columns) if columns else sample, target_block_bytes
+            )
+            batch_rows = batch_rows or sampled_rows
     if partition_by:
         ds = ds.sort(list(partition_by))
     return ds.map_batches(
@@ -203,69 +222,6 @@ def decode_dataset(
     )
 
 
-# ----------------------------------------------- shared trained state
-
-
-def train_shared_state(
-    ds: rd.Dataset,
-    columns: list[str] | None = None,
-    sample_rows: int = 4096,
-    target_block_bytes: int = DEFAULT_BLOCK_BYTES,
-) -> dict:
-    """Train partition-shared codec state from ONE sample pass: the
-    selector's plan (:func:`plan_sample_table`) plus, for every column it
-    routed to FSST, a shared symbol table trained on the sample's data, or
-    on its distinct values under the ``sdict`` layout. Returns
-    ``{"hints", "batch_rows"}``; passed as ``fn_kwargs`` it travels to the
-    workers as one object-store copy per operator — the engine analogue of
-    the reference's per-stream trained model, which refuses pickling and
-    must be built inside each worker
-    (`/root/reference/src/ext/_ppmdmodule.c:617-634`)."""
-    from ..codecs.fsst import train_table
-    from ..codecs.strings import dict_encode_strcol, filled_strcol
-
-    sample = ds.limit(sample_rows).take_batch(sample_rows, batch_format="pyarrow")
-    if columns:
-        sample = sample.select(columns)
-    hints, batch_rows = plan_sample_table(sample, target_block_bytes)
-    hints = hints or {}
-    for name, h in hints.items():
-        if h.get("data_codec") != "fsst":
-            continue
-        col = filled_strcol(sample[name])
-        if col is None:
-            continue
-        if h.get("layout") == "sdict":
-            _, col = dict_encode_strcol(col)  # the values encode_sdict encodes
-        _, data = col
-        if len(data) >= 256:
-            h["fsst_table"] = train_table(data[: 1 << 20])
-    return {"hints": hints, "batch_rows": batch_rows}
-
-
-def encode_dataset_shared(
-    ds: rd.Dataset,
-    *,
-    target_block_bytes: int = DEFAULT_BLOCK_BYTES,
-    columns: list[str] | None = None,
-    concurrency=None,
-) -> rd.Dataset:
-    """Encode with partition-shared trained state: train once on a sample
-    (:func:`train_shared_state`), then :func:`encode_dataset` with those
-    hints. Use when the corpus is homogeneous enough that one symbol table
-    serves all blocks (skips per-block FSST training). Blobs still embed
-    their tables, so decode stays a stateless pass."""
-    state = train_shared_state(ds, columns, target_block_bytes=target_block_bytes)
-    return encode_dataset(
-        ds,
-        target_block_bytes=target_block_bytes,
-        hints=state["hints"],
-        columns=columns,
-        concurrency=concurrency,
-        batch_rows=state["batch_rows"],
-    )
-
-
 # ---------------------------------------------------------- resumable job
 
 
@@ -273,7 +229,7 @@ def plan_units(
     input_path: str | list[str],
     columns: list[str] | None = None,
     *,
-    unit_bytes: int = 32 << 20,
+    unit_bytes: int = DEFAULT_UNIT_BYTES,
 ) -> list[dict]:
     """Deterministic unit list: parquet row-group fragments COALESCED into
     units of ~``unit_bytes`` (uncompressed estimate).
@@ -402,6 +358,10 @@ def _unit_items(units: list[dict]) -> list[dict]:
     ]
 
 
+def _job_path(out_dir: str) -> str:
+    return os.path.join(out_dir, "_job.json")
+
+
 def run_encode_job(
     input_path: str | list[str],
     out_dir: str,
@@ -411,7 +371,7 @@ def run_encode_job(
     hints: dict | None = None,
     concurrency=None,
     resume: bool = True,
-    unit_bytes: int = 32 << 20,
+    unit_bytes: int = DEFAULT_UNIT_BYTES,
 ) -> dict:
     """Resumable distributed encode. Returns a summary dict.
 
@@ -419,7 +379,7 @@ def run_encode_job(
     parameters (e.g. another unit_bytes) would re-plan to all-new unit ids
     — completed_units() would match nothing and the stale block files
     would duplicate every row on decode — so a mismatch raises instead."""
-    from ..codecs.base import CodecError
+    from ..codecs.base import VERSION, CodecError
     from ..codecs.select import validate_hints
 
     validate_hints(hints)
@@ -428,9 +388,9 @@ def run_encode_job(
         "unit_bytes": int(unit_bytes),
         "target_block_bytes": int(target_block_bytes),
         "columns": columns,
-        "blob_version": 2,
+        "blob_version": VERSION,
     }
-    job_path = os.path.join(out_dir, "_job.json")
+    job_path = _job_path(out_dir)
     if os.path.exists(job_path):
         with open(job_path) as f:
             prev = json.load(f)
@@ -721,12 +681,26 @@ def _failed_units_agg(limit: int = VERIFY_FAIL_SAMPLE):
 
 
 def run_verify_job(
-    input_path: str | list[str], out_dir: str, *, columns: list[str] | None = None,
-    concurrency=None, unit_bytes: int = 32 << 20,
+    input_path: str | list[str], out_dir: str, *, concurrency=None
 ) -> dict:
-    units = plan_units(input_path, columns, unit_bytes=unit_bytes)
+    """Decode every unit that :func:`run_encode_job` wrote to ``out_dir``
+    and compare it with ``input_path``. The units are planned again with
+    the job's own ``unit_bytes`` and ``columns`` from ``_job.json``, so
+    they are the units the encode wrote; a missing ``_job.json`` raises
+    :class:`CodecError`."""
     import pyarrow.compute as pc
     from ray.data.aggregate import Sum
+
+    from ..codecs.base import CodecError
+
+    try:
+        with open(_job_path(out_dir)) as f:
+            job = json.load(f)
+    except FileNotFoundError:
+        raise CodecError(
+            f"no _job.json under {out_dir} — not the output of run_encode_job"
+        ) from None
+    units = plan_units(input_path, job["columns"], unit_bytes=job["unit_bytes"])
 
     # one streamed aggregate — per-unit result rows never concentrate on
     # the driver (the encode job's own Sum-summary pattern, not to_pandas)

@@ -19,6 +19,8 @@ import pyarrow as pa
 from .blocks import BLOCK_SCHEMA, decode_block, encode_block, split_by_bytes
 
 DEFAULT_BLOCK_BYTES = 16 << 20
+# input bytes per unit of the resumable jobs (``pipelines.compress.plan_units``)
+DEFAULT_UNIT_BYTES = 32 << 20
 
 
 def _payload_views(col) -> list[memoryview]:

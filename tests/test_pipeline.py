@@ -98,7 +98,7 @@ class TestResumableJob:
         s = run_encode_job(source_parquet, out_dir, target_block_bytes=1 << 20, unit_bytes=1)
         assert s["units_encoded"] == 5  # 1500 rows / 300 per row-group
         assert s["ratio"] > 3.0
-        v = run_verify_job(source_parquet, out_dir, unit_bytes=1)
+        v = run_verify_job(source_parquet, out_dir)
         assert v["ok"], v
         assert v["failed_units"] == []
         mans = load_all_manifests(out_dir)
@@ -117,10 +117,30 @@ class TestResumableJob:
         run_encode_job(source_parquet, out_dir, target_block_bytes=1 << 20, unit_bytes=1)
         victim = load_all_manifests(out_dir)[2]["unit_id"]
         os.remove(unit_blocks_path(out_dir, victim))
-        v = run_verify_job(source_parquet, out_dir, unit_bytes=1)
+        v = run_verify_job(source_parquet, out_dir)
         assert not v["ok"]
         assert v["units"] == 5
         assert v["failed_units"] == [victim]
+
+    @pytest.mark.parametrize(
+        "job", [{"unit_bytes": 1}, {"columns": ["path", "lang"]}], ids=["unit_bytes", "columns"]
+    )
+    def test_verify_plans_the_units_the_job_wrote(self, tmp_path, job):
+        """verify reads unit_bytes and columns from the job's _job.json, so
+        a job encoded with either verifies with no extra arguments."""
+        src = str(tmp_path / "src.parquet")
+        pq.write_table(generate_source_table(400, seed=2), src, row_group_size=100)
+        out_dir = str(tmp_path / "enc")
+        s = run_encode_job(src, out_dir, **job)
+        v = run_verify_job(src, out_dir)
+        assert v["ok"] and v["units"] == s["units_total"], v
+        assert v["failed_units"] == []
+
+    def test_verify_without_job_json_raises(self, source_parquet, tmp_path):
+        from pyppmd_ray.codecs.base import CodecError
+
+        with pytest.raises(CodecError):
+            run_verify_job(source_parquet, str(tmp_path / "nothing"))
 
     def test_resume_skips_done(self, source_parquet, tmp_path):
         out_dir = str(tmp_path / "enc2")
@@ -199,20 +219,19 @@ class TestPartitioningInvariance:
 
 
 @pytest.mark.usefixtures("ray_session")
-def test_shared_state_encode_roundtrip(tmp_path):
-    """North-star shared state: trained tables broadcast once (one
-    object-store copy of the tasks' fn_kwargs), reused across blocks —
-    decode must still be a stateless pass producing bit-identical rows."""
+def test_shared_state_encode_roundtrip():
+    """North-star shared state: the sampled plan carries trained FSST
+    tables; passed to encode_dataset it reaches every task as one
+    object-store copy of the fn_kwargs, and decode is still a stateless
+    pass producing bit-identical rows."""
     import ray.data as rd
 
-    from pyppmd_ray.fixtures import generate_source_table
-    from pyppmd_ray.pipelines import decode_dataset, encode_dataset_shared, train_shared_state
+    from pyppmd_ray.pipelines.compress import plan_sample_table
 
     t = generate_source_table(2000, seed=7)
-    ds = rd.from_arrow(t)
-    state = train_shared_state(ds)
-    assert state["hints"], "selector produced no plan"
-    enc = encode_dataset_shared(ds, target_block_bytes=1 << 20, concurrency=2)
+    hints, _ = plan_sample_table(t.slice(0, 600))
+    assert any("fsst_table" in h for h in hints.values()), hints
+    enc = encode_dataset(rd.from_arrow(t), target_block_bytes=1 << 20, hints=hints)
     dec = pa.concat_tables(
         decode_dataset(enc).iter_batches(batch_size=None, batch_format="pyarrow")
     )
@@ -222,20 +241,17 @@ def test_shared_state_encode_roundtrip(tmp_path):
     assert a.equals(b.select(a.column_names))
 
 
-@pytest.mark.usefixtures("ray_session")
 def test_shared_fsst_table_is_trained_on_what_the_layout_encodes():
     """An ``sdict`` column's FSST stream holds only its distinct values, so
     its shared table is trained on the sample's distinct values; a ``strs``
     column's table on the sample's data."""
-    import ray.data as rd
-
-    from pyppmd_ray.codecs.fsst import train_table
+    from pyppmd_ray.codecs.fsst import TRAIN_BYTES, train_table
     from pyppmd_ray.codecs.strings import dict_encode_strcol, filled_strcol
-    from pyppmd_ray.fixtures import generate_source_table
-    from pyppmd_ray.pipelines import train_shared_state
+    from pyppmd_ray.pipelines.compress import plan_sample_table
 
-    t = generate_source_table(2000, seed=1)  # under the 4,096-row sample
-    hints = train_shared_state(rd.from_arrow(t))["hints"]
+    t = generate_source_table(600, seed=1)
+    assert len(split_by_bytes(t, 2 << 20)) == 1  # the planner sees all of t
+    hints, _ = plan_sample_table(t)
     layouts = {h["layout"] for h in hints.values() if "fsst_table" in h}
     assert layouts == {"sdict", "strs"}, hints
     for name, h in hints.items():
@@ -244,7 +260,55 @@ def test_shared_fsst_table_is_trained_on_what_the_layout_encodes():
         col = filled_strcol(t[name])
         if h["layout"] == "sdict":
             _, col = dict_encode_strcol(col)
-        assert h["fsst_table"] == train_table(col[1][: 1 << 20]), name
+        assert h["fsst_table"] == train_table(col[1][:TRAIN_BYTES]), name
+
+
+class TestSampledPlanTables:
+    """The plan of :func:`plan_sample_table` is the shared trained state:
+    blocks encoded under it train no FSST table of their own."""
+
+    def test_planned_encode_trains_no_table_and_roundtrips(self, monkeypatch):
+        from pyppmd_ray.codecs import fsst
+        from pyppmd_ray.pipelines.compress import plan_sample_table
+        from pyppmd_ray.stages.encode import decode_batches, encode_batches
+
+        t = generate_source_table(1200, seed=5)
+        hints, _ = plan_sample_table(t.slice(0, 400))
+        assert any("fsst_table" in h for h in hints.values()), hints
+        calls = []
+        train = fsst.train_table
+        monkeypatch.setattr(
+            fsst, "train_table", lambda *a, **k: calls.append(1) or train(*a, **k)
+        )
+        enc = encode_batches(t, target_block_bytes=1 << 20, hints=hints)
+        assert enc.num_rows > 1
+        assert calls == []
+        dec = pa.concat_tables(list(decode_batches(enc)))
+        assert dec.equals(t)
+
+    @pytest.mark.parametrize("n_values,trained", [(8, False), (10, True)])
+    def test_table_needs_256_bytes_of_what_the_layout_encodes(self, n_values, trained):
+        from pyppmd_ray.codecs.strings import dict_encode_strcol, filled_strcol
+        from pyppmd_ray.pipelines.compress import plan_sample_table
+
+        # 2,000 rows of n distinct 27-byte values: sdict encodes only the
+        # distinct values, 216 bytes for 8 of them and 270 for 10
+        col = pa.array([f"github.com/org{i % n_values}/repo-name-{i % n_values}"
+                        for i in range(2000)])
+        _, (_, values) = dict_encode_strcol(filled_strcol(col))
+        assert (len(values) >= 256) == trained
+        hints, _ = plan_sample_table(pa.table({"repo": col}))
+        assert hints["repo"]["layout"] == "sdict"
+        assert hints["repo"]["data_codec"] == "fsst"
+        assert ("fsst_table" in hints["repo"]) == trained
+
+    def test_same_sample_gives_equal_hints(self):
+        from pyppmd_ray.pipelines.compress import plan_sample_table
+
+        t = generate_source_table(400, seed=9)
+        a = plan_sample_table(t)
+        assert any("fsst_table" in h for h in a[0].values())
+        assert plan_sample_table(t) == a
 
 
 @pytest.mark.usefixtures("ray_session")
@@ -308,23 +372,6 @@ def test_resume_with_different_params_refuses(tmp_path):
     assert s["units_skipped"] == s["units_total"]
     with pytest.raises(CodecError):
         run_encode_job(src, out, unit_bytes=64 << 20, concurrency=2)
-
-
-@pytest.mark.usefixtures("ray_session")
-def test_encode_dataset_plan_block_roundtrip():
-    """plan='block' (per-batch selector, heterogeneous-input mode)."""
-    import ray.data as rd
-
-    from pyppmd_ray.fixtures import generate_source_table
-    from pyppmd_ray.pipelines import decode_dataset, encode_dataset
-
-    t = generate_source_table(500, seed=11)
-    dec = pa.concat_tables(
-        decode_dataset(encode_dataset(rd.from_arrow(t), plan="block")).iter_batches(
-            batch_size=None, batch_format="pyarrow"
-        )
-    )
-    assert dec.sort_by("path").equals(t.sort_by("path").select(dec.column_names))
 
 
 class TestProjectionDecode:
