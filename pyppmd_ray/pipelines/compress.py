@@ -91,10 +91,7 @@ def plan_sample_table(
         return None, None
     avg_row = max(1, table_uncompressed_bytes(sample) // sample.num_rows)
     batch_rows = int(min(1 << 16, max(256, target_block_bytes // avg_row)))
-    sub = split_by_bytes(sample, 2 << 20)
-    if not sub:
-        return None, batch_rows
-    head = sub[0]
+    head = split_by_bytes(sample, 2 << 20)[0]
     hints = plan_table(head)
     for name, h in hints.items():
         if h["data_codec"] != "fsst":
@@ -164,9 +161,9 @@ def encode_dataset(
         # the real encode)
         try:
             sample = ds.limit(SAMPLE_ROWS).take_batch(SAMPLE_ROWS, batch_format="pyarrow")
-        except Exception:  # e.g. an empty dataset: every batch plans itself
-            sample = None
-        if sample is not None:
+        except ValueError:  # an empty dataset: nothing to plan
+            pass
+        else:
             hints, sampled_rows = plan_sample_table(
                 sample.select(columns) if columns else sample, target_block_bytes
             )
