@@ -17,7 +17,8 @@ child-field metadata would notice. Maps rebuild the spec-exact
 Type dispatch:
 - int / uint / timestamp / date / time → widen to int64 → constant | FOR |
   delta | RLE (smallest wins);
-- float32/64 → byte-shuffle + rANS vs raw (smallest wins);
+- float32/64 → byte-shuffle + the entropy stage, or decimal scaling
+  (fdec) where it round-trips and is smaller; float16 → byte-shuffle;
 - bool → bitpack;
 - string / binary (+large) / fixed-size binary → dictionary or plain
   offsets+data with one byte codec (raw | rANS | FSST | LZ | …), both
@@ -34,7 +35,7 @@ import pyarrow.compute as pc
 
 from .base import CodecError, pack_blob, register, read_uvarint, write_uvarint
 from .numeric import encode_int_auto, encode_raw
-from .rans import encode_rans0
+from .rans import best_entropy_blob, estimate_rans_sizes
 from .select import plan_strcol
 from .strings import StrCol, encode_sdict, encode_strings, strcol_from_arrow, strcol_to_arrow
 
@@ -156,13 +157,17 @@ def _int_storage_view(arr: pa.Array) -> np.ndarray:
 
 # ------------------------------------------------------------ sub-codecs
 
-def _encode_bshuf(raw_bytes: bytes, itemsize: int) -> bytes:
-    """Byte-shuffle (transpose) + entropy; wins on float columns."""
-    a = np.frombuffer(raw_bytes, dtype=np.uint8)
-    n = a.size // itemsize
-    t = a.reshape(n, itemsize).T.copy()
-    child = min(encode_raw(t.tobytes()), encode_rans0(t.tobytes()), key=len)
-    return pack_blob("bshuf", {"n": n, "w": itemsize}, child)
+def _byte_planes(v: np.ndarray) -> bytes:
+    """Byte-shuffle (transpose) of the values: byte 0 of each, then byte 1, …"""
+    a = np.ascontiguousarray(v).view(np.uint8)
+    return a.reshape(v.size, v.dtype.itemsize).T.tobytes()
+
+
+def _encode_bshuf(v: np.ndarray, planes: bytes) -> bytes:
+    """The byte planes of ``v`` through the entropy stage, which falls
+    back to raw where rANS does not pay."""
+    meta = {"n": int(v.size), "w": v.dtype.itemsize}
+    return pack_blob("bshuf", meta, best_entropy_blob(planes))
 
 
 def _decode_bshuf(meta: dict, payload: memoryview) -> bytes:
@@ -258,12 +263,14 @@ def _encode_values(arr: pa.Array, tstr: str, hints: dict) -> bytes:
         return encode_int_auto(_int_storage_view(arr))
     if tstr in ("f32", "f64"):
         v = arr.to_numpy(zero_copy_only=False)
-        raw = v.tobytes()
-        cands = [encode_raw(raw), _encode_bshuf(raw, v.dtype.itemsize)]
+        planes = _byte_planes(v)
         fd = _encode_fdec(v, tstr)
-        if fd is not None:
-            cands.append(fd)
-        return min(cands, key=len)
+        # the entropy stage codes the planes within ~2% of their estimate,
+        # so bshuf is encoded only where it may beat fdec
+        if fd is not None and len(fd) < 0.98 * min(estimate_rans_sizes(planes)):
+            return fd
+        bs = _encode_bshuf(v, planes)
+        return bs if fd is None else min(bs, fd, key=len)
     if tstr == "bool":
         v = arr.to_numpy(zero_copy_only=False)
         return pack_blob("boolp", {"n": len(arr)},
@@ -284,8 +291,7 @@ def _encode_values(arr: pa.Array, tstr: str, hints: dict) -> bytes:
             # f16→f32→f16 is exact for every representable value
             arr = pc.cast(pc.fill_null(pc.cast(arr, pa.float32()), 0.0), pa.float16())
         v = arr.to_numpy(zero_copy_only=False)
-        raw = np.ascontiguousarray(v).tobytes()
-        return min(encode_raw(raw), _encode_bshuf(raw, 2), key=len)
+        return _encode_bshuf(v, _byte_planes(v))
     if tstr.startswith("fsb:"):
         w = t.byte_width
         n = len(arr)

@@ -8,8 +8,8 @@ replaces frequent substrings with 1-byte codes.
 Engine-specific format choices (NOT the paper's wire format):
 - code 255 = escape; escaped literal bytes go to a SEPARATE literal stream
   (no in-band escape ambiguity);
-- the code stream and literal stream are each entropy-coded with the
-  engine's rANS stage when that wins over raw.
+- the code stream and literal stream are each coded by the engine's one
+  entropy stage (``rans.best_entropy_blob``: raw, rans0 or rans1).
 
 Table training (which symbols) runs in numpy here; the greedy
 longest-match encode and the decode are compiled (``kernels.c``). The
@@ -31,7 +31,7 @@ import numpy as np
 
 from .base import CodecError, pack_blob, register, read_uvarint, write_uvarint
 from .native import ffi, lib
-from .rans import encode_rans0
+from .rans import best_entropy_blob
 
 ESCAPE = 255  # kernels.c hard-codes the same (FSST_ESCAPE)
 MAX_SYMS = 255
@@ -155,14 +155,6 @@ def fsst_decode_codes(codes: np.ndarray, lits: np.ndarray, table: list[bytes]) -
     return out[:total].tobytes()
 
 
-def _best_bytes_blob(data: bytes) -> bytes:
-    from .numeric import encode_raw
-
-    if len(data) < 64:
-        return encode_raw(data)
-    return min(encode_raw(data), encode_rans0(data), key=len)
-
-
 def encode_fsst(data: bytes | np.ndarray, table: list[bytes] | None = None) -> bytes:
     """Self-describing FSST blob over a byte sequence."""
     arr = np.frombuffer(data, dtype=np.uint8) if not isinstance(data, np.ndarray) else data
@@ -170,8 +162,8 @@ def encode_fsst(data: bytes | np.ndarray, table: list[bytes] | None = None) -> b
     if table is None:
         table = train_table(arr[:TRAIN_BYTES])
     codes, lits = fsst_encode_codes(arr, table)
-    cb = _best_bytes_blob(codes.tobytes())
-    lb = _best_bytes_blob(lits.tobytes())
+    cb = best_entropy_blob(codes.tobytes())
+    lb = best_entropy_blob(lits.tobytes())
     tab = b"".join(write_uvarint(len(s)) + s for s in table)
     payload = b"".join(
         (write_uvarint(len(table)), tab, write_uvarint(len(cb)), cb, lb)

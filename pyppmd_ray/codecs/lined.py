@@ -23,19 +23,15 @@ import numpy as np
 from .base import CodecError, pack_blob, read_uvarint, register, write_uvarint
 
 
-def _best_inner(data: bytes, allow_lz: bool = True) -> bytes:
+def _best_inner(data: bytes) -> bytes:
     """Best byte-stream blob. For large inputs, codecs are TRIALED on a
     64 KiB sample and only the winner encodes the full stream — full-size
     trials multiply memory traffic and collapse multi-worker scaling."""
     from .lz import encode_lz
-    from .numeric import encode_raw
-    from .rans import encode_rans0
-    from .rans_ctx import encode_rans1
-
     from .rans import best_entropy_blob, estimate_rans_sizes
 
     n = len(data)
-    if n < 256 or not allow_lz:
+    if n < 256:
         return best_entropy_blob(data)
     if n <= 96 << 10:
         return min((best_entropy_blob(data), encode_lz(data)), key=len)

@@ -18,8 +18,8 @@ described in RFC 8878 — format here is the engine's own):
   keep the best by net bit gain; the probes verify and extend every
   candidate, so hash collisions only cost a short or failed match;
 - sequences = (lit_len, match_len, offset) with log2-bucket codes + raw
-  extra bits (bit-packed in C); codes and literals rANS-coded when smaller
-  than raw;
+  extra bits (bit-packed in C); codes and literals through the engine's
+  one entropy stage (``rans.best_entropy_blob``);
 - decode expands the sequences in C, checking every length and offset
   against the output and literal bounds.
 
@@ -35,18 +35,11 @@ import numpy as np
 from .base import CodecError, pack_blob, register, read_uvarint, write_uvarint
 from .native import ffi, lib
 from .numeric import encode_raw, pack_varbits, unpack_varbits
+from .rans import best_entropy_blob
 
 MIN_MATCH = 5  # kernels.c hard-codes the same
 _U64 = np.uint64
 _I64 = np.int64
-
-
-def _best_bytes_blob(data: bytes) -> bytes:
-    if len(data) < 64:
-        return encode_raw(data)
-    from .rans import best_entropy_blob
-
-    return best_entropy_blob(data)
 
 
 # ------------------------------------------------------- length/offset codes
@@ -174,11 +167,11 @@ def encode_lz(data: bytes | memoryview | np.ndarray, stride: int = 1) -> bytes:
     ofc, ofe, ofw = _off_codes(of) if S else (np.zeros(0, _I64),) * 3
 
     parts = [
-        _best_bytes_blob(llc.astype(np.uint8).tobytes()),
-        _best_bytes_blob(mlc.astype(np.uint8).tobytes()),
-        _best_bytes_blob(ofc.astype(np.uint8).tobytes()),
+        best_entropy_blob(llc.astype(np.uint8).tobytes()),
+        best_entropy_blob(mlc.astype(np.uint8).tobytes()),
+        best_entropy_blob(ofc.astype(np.uint8).tobytes()),
         pack_varbits(lle, llw) + pack_varbits(mle, mlw) + pack_varbits(ofe, ofw),
-        _best_bytes_blob(lits.tobytes()),
+        best_entropy_blob(lits.tobytes()),
     ]
     payload = b"".join(write_uvarint(len(p)) + p for p in parts)
     return pack_blob("lz", {"n": n, "S": S, "L": int(lits.size)}, payload)

@@ -183,8 +183,13 @@ def alphabet_size(c1: np.ndarray) -> int:
 def estimate_rans_sizes(data: bytes | np.ndarray) -> tuple[int, int, int]:
     """(raw, ~rans0, ~rans1) encoded sizes from byte/bigram histograms —
     O(n) with one counting pass, no trial encodes. Estimates include header
-    overheads; rans1 uses the ideal order-1 entropy × a small fudge for
-    its 16-class context quantization."""
+    overheads. rans1 is sized on the coder's own model
+    (``rans_ctx.class_counts``): the entropy of each context class's
+    counts, plus the class map, the per-class 13-bit tables and 4 bytes
+    per lane; under 4,096 bytes, where ``encode_rans1`` stores rans0, it
+    is never chosen."""
+    from .rans_ctx import N_CLASSES, class_counts
+
     arr = np.frombuffer(data, dtype=np.uint8) if not isinstance(data, np.ndarray) else data
     n = int(arr.size)
     if n == 0:
@@ -197,21 +202,27 @@ def estimate_rans_sizes(data: bytes | np.ndarray) -> tuple[int, int, int]:
     N = _lane_count(n)
     rans0 = int(n * h0 / 8) + (A * 13 + 7) // 8 + 4 * N + 24
     if c2 is not None:
-        big = c2.reshape(-1).astype(np.float64)
-        big = big[big > 0]
-        pj = big / (n - 1)
-        hj = float(-(pj * np.log2(pj)).sum())  # H(prev, cur)
-        h1 = max(hj - h0, 0.1)
-        rans1 = int(n * h1 * 1.06 / 8) + 16 * (A * 13 + 7) // 8 + 4 * N + 170
+        cnt = class_counts(c1, c2)[1].astype(np.float64)
+        tot = cnt.sum(axis=1)
+        tot = tot[tot > 0]
+        nz = cnt[cnt > 0]
+        bits = float((tot * np.log2(tot)).sum() - (nz * np.log2(nz)).sum())
+        # class map (256 x 4 bits) + blob header, then tables and states
+        rans1 = int(bits / 8) + 128 + 40 + (N_CLASSES * max(A, 2) * 13 + 7) // 8 + 4 * N
     else:
         rans1 = 1 << 60
     return n + 16, rans0, rans1
 
 
 def best_entropy_blob(data: bytes) -> bytes:
-    """Encode with raw/rans0/rans1, chosen by estimate — ONE encode total."""
+    """The engine's one raw/rANS chooser for an inner byte stream: raw
+    under 64 bytes, else raw, rans0 or rans1 as :func:`estimate_rans_sizes`
+    ranks them — ONE encode total. A rans0 blob that comes out no smaller
+    than raw is replaced by raw."""
     from .numeric import encode_raw
 
+    if len(data) < 64:
+        return encode_raw(data)
     raw_sz, r0_sz, r1_sz = estimate_rans_sizes(data)
     best = min((raw_sz, 0), (r0_sz, 1), (r1_sz, 2))[1]
     if best == 2:

@@ -57,20 +57,29 @@ def build_classes(counts: np.ndarray) -> np.ndarray:
     return cls
 
 
+def class_counts(c1: np.ndarray, c2: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(cls, cnt): the class map of the byte counts ``c1`` and the
+    (N_CLASSES, 256) int64 counts of each byte under the class of its
+    previous byte, from the (256, 256) bigram counts ``c2`` — the order-1
+    model that both :func:`rans1_counts` and ``rans.estimate_rans_sizes``
+    use."""
+    cls = build_classes(c1)
+    # classes 0..14 hold one byte each, class 15 the rest
+    cnt = np.empty((N_CLASSES, 256), dtype=np.int64)
+    own = np.flatnonzero(cls < N_CLASSES - 1)
+    cnt[cls[own]] = c2[own]
+    cnt[-1] = c2[cls == N_CLASSES - 1].sum(axis=0)
+    return cls, cnt
+
+
 def rans1_counts(arr: np.ndarray, N: int) -> tuple[np.ndarray, np.ndarray]:
     """(cls, cnt): the class map and the (N_CLASSES, A) int64 counts of each
     byte of ``arr`` under the class of its previous byte, class 0 at the
     start of each of the N contiguous lanes; A = max(arr.max() + 1, 2)."""
     n = int(arr.size)
     c1, c2 = byte_hist(arr, bigrams=True)
-    cls = build_classes(c1)
+    cls, cnt = class_counts(c1, c2)
     A = max(alphabet_size(c1), 2)  # >= 2 so cap_full_freq has a dummy slot
-    # (class of the previous byte, byte) counts from the bigram counts:
-    # classes 0..14 hold one byte each, class 15 the rest
-    cnt = np.empty((N_CLASSES, 256), dtype=np.int64)
-    own = np.flatnonzero(cls < N_CLASSES - 1)
-    cnt[cls[own]] = c2[own]
-    cnt[-1] = c2[cls == N_CLASSES - 1].sum(axis=0)
     # each lane's first byte has class 0 instead (position 0 has no bigram)
     starts = np.arange(0, n, -(-n // N))
     np.add.at(cnt, (cls[arr[starts[1:] - 1]], arr[starts[1:]]), -1)

@@ -102,38 +102,7 @@ class MinHasher:
         self.shingle = shingle
         # hot shingles hash once per actor (sha256 per distinct shingle is
         # the per-doc hot loop; real corpora repeat shingles heavily)
-        self._cache: dict[str, int] = {}
-
-    def _shingles(self, text: str) -> set[str]:
-        toks = TOKEN_RE.findall(text)
-        k = self.shingle
-        if len(toks) < k:
-            return {" ".join(toks)} if toks else set()
-        return {" ".join(toks[i : i + k]) for i in range(len(toks) - k + 1)}
-
-    def _hash_shingles(self, sh) -> list[int]:
-        cache = self._cache
-        out = []
-        for s in sh:
-            v = cache.get(s)
-            if v is None:
-                v = _sha_prefix_u64(s, 4)
-                if len(cache) < self._MAX_CACHE:
-                    cache[s] = v
-            out.append(v)
-        return out
-
-    def signature(self, text: str) -> np.ndarray | None:
-        """None when the doc has no shingles (empty/whitespace-only) — such
-        docs take part in no buckets (mirrors the SQL oracle, where they
-        produce zero shingle rows)."""
-        sh = self._shingles(text)
-        if not sh:
-            return None
-        h = np.array(self._hash_shingles(sh), dtype=np.uint64)
-        # a*x + b < 2^63 + 2^61 — exact, then mod M61 (Mersenne fold)
-        vals = _mod_m61(h[None, :] * self.a[:, None] + self.b[:, None])
-        return vals.min(axis=1)
+        self._cache: dict[bytes, int] = {}
 
     def _batch_shingle_hashes(
         self, texts: pa.Array
@@ -245,9 +214,11 @@ class MinHasher:
         """Batched signatures: Arrow-split tokens → id-window shingles →
         sha256 only per DISTINCT shingle, then one
         (num_hashes, total_windows) vectorized pass +
-        ``np.minimum.reduceat`` per-doc segments. Values identical to
-        :meth:`signature` (the oracle-pinned shingle string is hashed
-        byte-for-byte — only the looping structure changed)."""
+        ``np.minimum.reduceat`` per-doc segments. sig[i] is the min over
+        the doc's distinct shingles, each the oracle-pinned shingle string
+        hashed byte-for-byte; a doc without shingles (empty or
+        whitespace-only) gets a null signature and takes part in no
+        buckets, as in the SQL oracle, where it has no shingle rows."""
         texts = batch["text"].combine_chunks() if isinstance(
             batch["text"], pa.ChunkedArray
         ) else batch["text"]

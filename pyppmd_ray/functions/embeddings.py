@@ -63,17 +63,3 @@ class EmbeddingQuantizer:
                 "qvec": pa.array(q.tolist(), type=pa.list_(pa.int64())),
             }
         )
-
-
-def normalize_batch(batch: pa.Table) -> pa.Table:
-    """L2-normalize the embedding column (float64; 0-vectors unchanged)."""
-    m = embedding_matrix(batch["embedding"])
-    norms = np.linalg.norm(m, axis=1)
-    norms[norms == 0] = 1.0
-    out = m / norms[:, None]
-    return pa.table(
-        {
-            "vec_id": batch["vec_id"],
-            "embedding": pa.array(out.tolist(), type=pa.list_(pa.float64())),
-        }
-    )

@@ -25,7 +25,9 @@ operator.
    ray.data.
 
 ``concurrency`` everywhere is Ray's task cap for a function: an int
-bounds the number of concurrent tasks; ``None`` lets Ray decide.
+bounds the number of concurrent tasks (the unit jobs cap it at their
+number of units, so Ray is never asked for tasks it has no input for);
+``None`` lets Ray decide.
 
 The correctness contract is the reference's round-trip equality
 (`/root/reference/tests/test_ppmd7.py:56-92`): decode reproduces every
@@ -355,6 +357,11 @@ def _unit_items(units: list[dict]) -> list[dict]:
     ]
 
 
+def _unit_concurrency(concurrency, n_units: int):
+    """An int ``concurrency`` capped at ``n_units``; anything else as is."""
+    return min(concurrency, max(n_units, 1)) if isinstance(concurrency, int) else concurrency
+
+
 def _job_path(out_dir: str) -> str:
     return os.path.join(out_dir, "_job.json")
 
@@ -436,7 +443,7 @@ def run_encode_job(
             },
             batch_size=1,
             batch_format="pyarrow",
-            concurrency=concurrency,
+            concurrency=_unit_concurrency(concurrency, len(todo)),
         )
         # streamed reduce — at 10^7 units a driver-side to_pandas() would
         # hold the whole per-unit stats table; the aggregate keeps only
@@ -566,7 +573,7 @@ def run_decode_to_parquet(
             fn_kwargs={"out_dir": out_dir, "dest": dest, "columns": columns},
             batch_size=1,
             batch_format="pyarrow",
-            concurrency=concurrency,
+            concurrency=_unit_concurrency(concurrency, len(todo)),
         )
         agg = stats_ds.aggregate(
             Sum("n_rows", alias_name="n_rows"),
@@ -708,7 +715,7 @@ def run_verify_job(
             fn_kwargs={"out_dir": out_dir},
             batch_size=1,
             batch_format="pyarrow",
-            concurrency=concurrency,
+            concurrency=_unit_concurrency(concurrency, len(units)),
         )
         .map_batches(
             lambda t: t.append_column(

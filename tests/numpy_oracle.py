@@ -534,14 +534,20 @@ def estimate_rans_sizes(data: bytes | np.ndarray) -> tuple[int, int, int]:
     N = _lane_count(n)
     rans0 = int(n * h0 / 8) + (A * 13 + 7) // 8 + 4 * N + 24
     if n >= 4096:
-        big = np.bincount(
-            arr[:-1].astype(np.int64) * 256 + arr[1:], minlength=65536
-        ).astype(np.float64)
-        big = big[big > 0]
-        pj = big / (n - 1)
-        hj = float(-(pj * np.log2(pj)).sum())  # H(prev, cur)
-        h1 = max(hj - h0, 0.1)
-        rans1 = int(n * h1 * 1.06 / 8) + 16 * (A * 13 + 7) // 8 + 4 * N + 170
+        # the order-1 coder's model: each byte counted under the class of
+        # its previous byte (the 15 most frequent bytes one class each,
+        # the rest class 15), sized by the entropy of each class's counts
+        order = np.argsort(-c0, kind="stable")
+        cls = np.full(256, N_CLASSES - 1, dtype=np.int64)
+        cls[order[: N_CLASSES - 1]] = np.arange(N_CLASSES - 1)
+        cnt = np.bincount(
+            cls[arr[:-1]] * 256 + arr[1:], minlength=N_CLASSES * 256
+        ).reshape(N_CLASSES, 256).astype(np.float64)
+        tot = cnt.sum(axis=1)
+        tot = tot[tot > 0]
+        nz = cnt[cnt > 0]
+        bits = float((tot * np.log2(tot)).sum() - (nz * np.log2(nz)).sum())
+        rans1 = int(bits / 8) + 128 + 40 + (N_CLASSES * max(A, 2) * 13 + 7) // 8 + 4 * N
     else:
         rans1 = 1 << 60
     return n + 16, rans0, rans1

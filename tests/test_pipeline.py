@@ -374,6 +374,28 @@ def test_resume_with_different_params_refuses(tmp_path):
         run_encode_job(src, out, unit_bytes=64 << 20, concurrency=2)
 
 
+@pytest.mark.usefixtures("ray_session")
+def test_unit_jobs_ask_for_no_more_tasks_than_units(tmp_path):
+    """A one-unit job run with concurrency=2 asks Ray for one task, so
+    Ray logs no "maximum number of concurrent tasks" warning."""
+    import warnings
+
+    import pyarrow.parquet as pq
+
+    from pyppmd_ray.pipelines import run_decode_to_parquet, run_encode_job, run_verify_job
+
+    src = str(tmp_path / "src.parquet")
+    out = str(tmp_path / "out")
+    pq.write_table(generate_source_table(50, seed=5), src)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert run_encode_job(src, out, concurrency=2)["units_encoded"] == 1
+        assert run_decode_to_parquet(out, str(tmp_path / "dec"), concurrency=2)["units_decoded"] == 1
+        assert run_verify_job(src, out, concurrency=2)["ok"]
+    noise = [w for w in caught if "maximum number of concurrent tasks" in str(w.message)]
+    assert not noise, [str(w.message) for w in noise]
+
+
 class TestProjectionDecode:
     """Column-projection decode: only requested per-column blobs are
     decoded; the rest are skipped via the length-prefixed framing."""

@@ -17,12 +17,27 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import numpy_oracle as oracle
-from pyppmd_ray.codecs import CodecError, decode_blob, encode_lz, encode_rans0, unpack_blob
+from pyppmd_ray.codecs import (
+    CodecError,
+    decode_blob,
+    encode_column,
+    encode_lz,
+    encode_raw,
+    encode_rans0,
+    unpack_blob,
+)
 from pyppmd_ray.codecs.base import pack_blob, read_uvarint
-from pyppmd_ray.codecs.fsst import encode_fsst, fsst_decode_codes, fsst_encode_codes, train_table
+from pyppmd_ray.codecs.fsst import (
+    TRAIN_BYTES,
+    encode_fsst,
+    fsst_decode_codes,
+    fsst_encode_codes,
+    train_table,
+)
 from pyppmd_ray.codecs.lz import lz_candidates, lz_parse
 from pyppmd_ray.codecs.numeric import pack_uints, pack_varbits, unpack_uints, unpack_varbits
 from pyppmd_ray.codecs.rans import (
+    best_entropy_blob,
     byte_hist,
     cap_full_freq,
     estimate_rans_sizes,
@@ -350,6 +365,70 @@ def test_byte_hist_matches_bincount(kind, n, seed):
             np.testing.assert_array_equal(cls, o_cls)
             assert cnt.shape == o_cnt.shape
             np.testing.assert_array_equal(cnt, o_cnt)
+
+
+def _entropy_streams() -> dict[str, bytes]:
+    """The FSST code and literal streams of 60,000 bytes of F1 text (the
+    ``test_golden.py`` fixture), and every ``_cand_sample`` kind at 4,096
+    and 50,000 bytes."""
+    text = "\n".join(generate_source_table(300, seed=11)["content"].to_pylist()).encode()
+    arr = np.frombuffer(text[:60_000], dtype=np.uint8)
+    codes, lits = fsst_encode_codes(arr, train_table(arr[:TRAIN_BYTES]))
+    streams = {"fsst_codes": codes.tobytes(), "fsst_lits": lits.tobytes()}
+    for kind in ("text", "ids", "random", "runs", "one", "four"):
+        for n in (4096, 50_000):
+            streams[f"{kind}_{n}"] = _cand_sample(kind, n, seed=n)
+    return streams
+
+
+ENTROPY_STREAMS = _entropy_streams()
+
+
+@pytest.mark.parametrize("name", sorted(ENTROPY_STREAMS))
+def test_rans1_estimate_sizes_the_coder(name):
+    data = ENTROPY_STREAMS[name]
+    assert len(data) >= 4096
+    actual = len(encode_rans1(data))
+    assert abs(estimate_rans_sizes(data)[2] - actual) <= 0.02 * actual
+
+
+@pytest.mark.parametrize("name", sorted(ENTROPY_STREAMS))
+def test_best_entropy_blob_is_near_the_smallest(name):
+    data = ENTROPY_STREAMS[name]
+    blob = best_entropy_blob(data)
+    assert decode_blob(blob) == data
+    smallest = min(len(encode_raw(data)), len(encode_rans0(data)), len(encode_rans1(data)))
+    assert len(blob) <= 1.01 * smallest
+
+
+def test_random_float64_column_costs_at_most_its_raw_bytes():
+    import pyarrow as pa
+
+    bits = np.random.default_rng(5).integers(0, 2**64, 20_000, dtype=np.uint64)
+    arr = pa.array(bits.view(np.float64))
+    blob = encode_column(arr)
+    out = decode_blob(blob).to_numpy(zero_copy_only=False)
+    np.testing.assert_array_equal(out.view(np.uint64), bits)
+    values = unpack_blob(blob)[2]  # the values' blob inside the column blob
+    assert unpack_blob(values)[0] == "bshuf"
+    assert len(values) <= bits.nbytes + 64
+
+
+def test_decimal_float64_column_codes_no_byte_planes(monkeypatch):
+    """Where fdec is well under the entropy stage's estimate of the byte
+    planes, the planes are not coded: fdec is the blob."""
+    import pyarrow as pa
+
+    from pyppmd_ray.codecs import column
+
+    def no_planes(planes):
+        raise AssertionError("the byte planes were coded")
+
+    monkeypatch.setattr(column, "best_entropy_blob", no_planes)
+    v = np.round(np.random.default_rng(4).uniform(0, 100, 20_000), 2)
+    blob = encode_column(pa.array(v))
+    np.testing.assert_array_equal(decode_blob(blob).to_numpy(zero_copy_only=False), v)
+    assert unpack_blob(unpack_blob(blob)[2])[0] == "fdec"
 
 
 @settings(max_examples=60, deadline=None)
